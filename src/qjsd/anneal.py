@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import entropy_from_eigenvalues
+from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
+from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
 from .states import derive_seed, state_to_dict
 
@@ -59,17 +60,13 @@ def decode_state(block: np.ndarray, dim: int) -> np.ndarray:
     Scale-invariant: any nonzero rescaling of the block decodes to the same
     state. Raises DegenerateBlock when the trace underflows.
     """
-    x = np.asarray(block, dtype=np.float64).reshape(2, dim, dim)
-    a = x[0] + 1j * x[1]
-    g = a @ a.conj().T
-    tr = float(np.trace(g).real)
-    if tr <= _TRACE_FLOOR:
-        raise DegenerateBlock(f"Tr(A A†) = {tr!r}")
-    return g / tr
+    return _decode_triplet(block, dim)[0]
 
 
 def _decode_triplet(params: np.ndarray, dim: int) -> np.ndarray:
-    x = np.asarray(params, dtype=np.float64).reshape(3, 2, dim, dim)
+    """Decode any number of consecutive 2*dim^2-real blocks into a
+    (blocks, dim, dim) stack of density matrices, as decode_state does one."""
+    x = np.asarray(params, dtype=np.float64).reshape(-1, 2, dim, dim)
     a = x[:, 0] + 1j * x[:, 1]
     g = a @ np.conj(np.swapaxes(a, -2, -1))
     tr = np.trace(g, axis1=-2, axis2=-1).real
@@ -78,24 +75,9 @@ def _decode_triplet(params: np.ndarray, dim: int) -> np.ndarray:
     return g / tr[:, None, None]
 
 
-def _pairwise_sqrt_distances(states: np.ndarray) -> tuple[float, float, float]:
-    """d(rho,xi), d(xi,sigma), d(rho,sigma) for a (3, N, N) stack."""
-    dim = states.shape[-1]
-    mats = np.empty((6, dim, dim), dtype=np.complex128)
-    mats[:3] = states
-    mats[3] = (states[0] + states[1]) / 2.0
-    mats[4] = (states[1] + states[2]) / 2.0
-    mats[5] = (states[0] + states[2]) / 2.0
-    h = entropy_from_eigenvalues(np.linalg.eigvalsh(mats))
-    d01 = math.sqrt(max(h[3] - 0.5 * (h[0] + h[1]), 0.0))
-    d12 = math.sqrt(max(h[4] - 0.5 * (h[1] + h[2]), 0.0))
-    d02 = math.sqrt(max(h[5] - 0.5 * (h[0] + h[2]), 0.0))
-    return d01, d12, d02
-
-
 def objective_single(params: np.ndarray, dim: int) -> float:
     """Triangle defect d(rho,xi) + d(xi,sigma) - d(rho,sigma) of the decoded triplet."""
-    d01, d12, d02 = _pairwise_sqrt_distances(_decode_triplet(params, dim))
+    d01, d12, d02 = np.sqrt(qjsd_sides(_decode_triplet(params, dim))).tolist()
     return d01 + d12 - d02
 
 
@@ -106,7 +88,7 @@ def objective_symmetrized(params: np.ndarray, dim: int) -> float:
     It is therefore never negative and cannot exhibit a triangle violation;
     its minimum 0 is reached on every coincident triplet, wherever it lies.
     """
-    d01, d12, d02 = _pairwise_sqrt_distances(_decode_triplet(params, dim))
+    d01, d12, d02 = np.sqrt(qjsd_sides(_decode_triplet(params, dim))).tolist()
     return ((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0
 
 

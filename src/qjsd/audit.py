@@ -10,13 +10,14 @@ exactly, bit for bit, with no dependence on worker count or scheduling.
 from __future__ import annotations
 
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .divergences import entropy_from_eigenvalues, qjsd_sqrt
+from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
+from .divergences import qjsd_sides, qjsd_sqrt
 from .errors import DimMismatch, EdgeMismatch, InvalidConfig
 from .states import derive_seed, draw_state_params, states_from_params
 
@@ -96,19 +97,28 @@ class AuditReport:
     tolerance: float
     violations: int
     noise_negatives: int  # defects in (-tolerance, 0), attributed to round-off
-    min_defect: float
     histogram: Histogram
     smallest: tuple[TriangleSample, ...]
     mixedness_floor: float | None = None
 
+    @property
+    def min_defect(self) -> float:
+        """The smallest defect of the run; equals smallest[0].defect."""
+        return self.smallest[0].defect
 
-def _shard(args) -> tuple:
-    """Audit triplet indices [start, stop); returns partial tallies."""
+
+def _by_defect(samples) -> list[TriangleSample]:
+    """The _K_SMALLEST samples of least defect, ties broken by triplet index."""
+    return sorted(samples, key=lambda s: (s.defect, s.triplet_index))[:_K_SMALLEST]
+
+
+def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
+    """Audit triplet indices [start, stop); returns the histogram, the
+    violation and noise counts, and the smallest defects."""
     dim, seed, floor, start, stop, edges, tolerance = args
     nbins = edges.size - 1
     counts = np.zeros(nbins, dtype=np.int64)
     underflow = overflow = violations = noise = 0
-    min_defect = math.inf
     smallest: list[TriangleSample] = []
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
@@ -125,19 +135,9 @@ def _shard(args) -> tuple:
                 zs[j, t] = z
                 lams[j, t] = lam
         rhos = states_from_params(zs.reshape(-1, dim, dim), lams.reshape(-1, dim))
-        rhos = rhos.reshape(n, 3, dim, dim)
-        mids = np.empty((n, 3, dim, dim), dtype=np.complex128)
-        mids[:, 0] = (rhos[:, 0] + rhos[:, 1]) / 2.0
-        mids[:, 1] = (rhos[:, 1] + rhos[:, 2]) / 2.0
-        mids[:, 2] = (rhos[:, 0] + rhos[:, 2]) / 2.0
         # state entropies come from the sampled spectra (rho = U diag(lam) U†)
-        h_state = entropy_from_eigenvalues(lams)
-        h_mid = entropy_from_eigenvalues(np.linalg.eigvalsh(mids.reshape(-1, dim, dim)))
-        h_mid = h_mid.reshape(n, 3)
-        d01 = np.sqrt(np.maximum(h_mid[:, 0] - 0.5 * (h_state[:, 0] + h_state[:, 1]), 0.0))
-        d12 = np.sqrt(np.maximum(h_mid[:, 1] - 0.5 * (h_state[:, 1] + h_state[:, 2]), 0.0))
-        d02 = np.sqrt(np.maximum(h_mid[:, 2] - 0.5 * (h_state[:, 0] + h_state[:, 2]), 0.0))
-        defects = d01 + d12 - d02
+        d = np.sqrt(qjsd_sides(rhos.reshape(n, 3, dim, dim), spectra=lams))
+        defects = d[:, 0] + d[:, 1] - d[:, 2]
 
         pos = np.searchsorted(edges, defects, side="right") - 1
         underflow += int(np.count_nonzero(pos < 0))
@@ -146,14 +146,12 @@ def _shard(args) -> tuple:
         counts += np.bincount(pos[inside], minlength=nbins)
         violations += int(np.count_nonzero(defects < -tolerance))
         noise += int(np.count_nonzero((defects < 0.0) & (defects >= -tolerance)))
-        min_defect = min(min_defect, float(defects.min()))
         order = np.argsort(defects, kind="stable")[:_K_SMALLEST]
-        smallest.extend(
-            TriangleSample(float(defects[j]), lo + int(j), int(seeds[j])) for j in order
+        smallest = _by_defect(
+            smallest + [TriangleSample(float(defects[j]), lo + int(j), int(seeds[j])) for j in order]
         )
-        smallest.sort(key=lambda s: (s.defect, s.triplet_index))
-        del smallest[_K_SMALLEST:]
-    return counts, underflow, overflow, violations, noise, min_defect, smallest, stop - start
+    hist = Histogram(edges, counts, underflow, overflow, total=stop - start)
+    return hist, violations, noise, smallest
 
 
 def run_audit(
@@ -204,35 +202,14 @@ def run_audit(
             parts = list(pool.map(_shard, shards))
     else:
         parts = [_shard(s) for s in shards]
-
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    underflow = overflow = violations = noise = total = 0
-    min_defect = math.inf
-    smallest: list[TriangleSample] = []
-    for c, u, o, v, nn, md, sm, tot in parts:
-        counts += c
-        underflow += u
-        overflow += o
-        violations += v
-        noise += nn
-        total += tot
-        min_defect = min(min_defect, md)
-        smallest.extend(sm)
-    smallest.sort(key=lambda s: (s.defect, s.triplet_index))
-    del smallest[_K_SMALLEST:]
+    hists, violations, noise, tops = zip(*parts)
+    violations, noise = sum(violations), sum(noise)
 
     if noise:
         log.info("dim=%d seed=%d: %d defects in (-%g, 0) attributed to round-off", dim, seed, noise, tolerance)
     if violations:
         log.warning("dim=%d seed=%d: %d TRIANGLE VIOLATIONS below -%g", dim, seed, violations, tolerance)
 
-    hist = Histogram(
-        bin_edges=edges,
-        counts=counts,
-        underflow_count=underflow,
-        overflow_count=overflow,
-        total=total,
-    )
     return AuditReport(
         dim=dim,
         samples=samples,
@@ -240,9 +217,8 @@ def run_audit(
         tolerance=tolerance,
         violations=violations,
         noise_negatives=noise,
-        min_defect=min_defect,
-        histogram=hist,
-        smallest=tuple(smallest),
+        histogram=reduce(histogram_merge, hists),
+        smallest=tuple(_by_defect(s for top in tops for s in top)),
         mixedness_floor=mixedness_floor,
     )
 

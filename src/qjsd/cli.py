@@ -8,6 +8,7 @@ counterexample (a triangle violation or a negative annealed defect).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -34,27 +35,10 @@ def _dump(obj) -> str:
 
 
 def _schedule_from(args, n_params: int) -> anneal_mod.AnnealSchedule:
-    sched = anneal_mod.AnnealSchedule.defaults_for(n_params)
-    overrides = {}
-    if args.t_initial is not None:
-        overrides["t_initial"] = args.t_initial
-    if args.t_final is not None:
-        overrides["t_final"] = args.t_final
-    if args.cooling_ratio is not None:
-        overrides["cooling_ratio"] = args.cooling_ratio
-    if args.steps_per_temp is not None:
-        overrides["steps_per_temperature"] = args.steps_per_temp
-    if args.proposal_scale is not None:
-        overrides["proposal_scale_ratio"] = args.proposal_scale
-    if overrides:
-        sched = anneal_mod.AnnealSchedule(
-            steps_per_temperature=overrides.get("steps_per_temperature", sched.steps_per_temperature),
-            t_initial=overrides.get("t_initial", sched.t_initial),
-            t_final=overrides.get("t_final", sched.t_final),
-            cooling_ratio=overrides.get("cooling_ratio", sched.cooling_ratio),
-            proposal_scale_ratio=overrides.get("proposal_scale_ratio", sched.proposal_scale_ratio),
-        )
-    return sched.validate()
+    """The default schedule for n_params, with the options given on the command line."""
+    names = [f.name for f in dataclasses.fields(anneal_mod.AnnealSchedule)]
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    return dataclasses.replace(anneal_mod.AnnealSchedule.defaults_for(n_params), **given).validate()
 
 
 def cmd_audit(args) -> int:
@@ -182,11 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--seed", type=int, default=0)
     n.add_argument("--restarts", type=int, default=1)
     n.add_argument("--workers", type=int, default=1)
+    # schedule overrides; each dest is an AnnealSchedule field
     n.add_argument("--t-initial", type=float, default=None)
     n.add_argument("--t-final", type=float, default=None)
     n.add_argument("--cooling-ratio", type=float, default=None)
-    n.add_argument("--steps-per-temp", type=int, default=None)
-    n.add_argument("--proposal-scale", type=float, default=None)
+    n.add_argument("--steps-per-temp", dest="steps_per_temperature", type=int, default=None)
+    n.add_argument("--proposal-scale", dest="proposal_scale_ratio", type=float, default=None)
     n.add_argument("--out", help="output path for the result JSON")
     n.set_defaults(func=cmd_anneal)
 

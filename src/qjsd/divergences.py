@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, SupportViolation, Undefined
+from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
 from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, hs_inner, matrix_sqrt
 from .states import (
     check_density,
@@ -34,6 +34,8 @@ from .states import (
 
 SUPPORT_CUTOFF = 1e-12  # eigenvalues below this count as outside the support
 _SUPPORT_WEIGHT_TOL = 1e-9
+# side i of a state pair or triplet joins state i to state _PARTNER[k][i]
+_PARTNER = {2: np.array([1]), 3: np.array([1, 2, 0])}
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +187,39 @@ def relative_entropy(rho, sigma) -> float:
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
+def qjsd_sides(states, spectra=None) -> np.ndarray:
+    """Quantum JSD of the sides of each state pair or triplet, clamped at 0.
+
+    `states` has shape (..., k, N, N). A pair (k = 2) has the one side
+    D(s0, s1) and a triplet (k = 3) the three sides D(s0, s1), D(s1, s2),
+    D(s2, s0); the result has shape (..., 1) or (..., 3). Each side is
+    H(m) - (H(a) + H(b))/2 with the midpoint m = (a + b)/2, clamped at 0,
+    from one eigvalsh call over the states and the midpoints. A caller that
+    already knows the spectra of the states passes them as `spectra`, shape
+    (..., k, N); their entropies are then taken from those and only the
+    midpoints are eigensolved. This is the one place the package evaluates
+    that entropy difference for density matrices.
+
+    Raises DomainError when an eigensolved matrix has an eigenvalue below
+    -PSD_CLAMP.
+    """
+    s = np.asarray(states)
+    k = s.shape[-3]
+    partner = _PARTNER.get(k)
+    if partner is None:
+        raise DimMismatch(f"expected a pair or a triplet of states, got {k}")
+    n = partner.size
+    mids = s.take(partner, axis=-3)
+    mids += s[..., :n, :, :]
+    mids /= 2.0
+    w = np.linalg.eigvalsh(mids if spectra is not None else np.concatenate((s, mids), axis=-3))
+    if w.min() < -PSD_CLAMP:
+        raise DomainError("inputs must be positive semidefinite")
+    h = entropy_from_eigenvalues(w)
+    h_state = h[..., :k] if spectra is None else entropy_from_eigenvalues(spectra)
+    return np.maximum(h[..., -n:] - 0.5 * (h_state[..., :n] + h_state.take(partner, axis=-1)), 0.0)
+
+
 def qjsd(rho, sigma) -> float:
     """Quantum Jensen-Shannon divergence, in bits.
 
@@ -192,11 +227,7 @@ def qjsd(rho, sigma) -> float:
     bounded by 1, and zero exactly when the states coincide.
     """
     a, b = _two_states(rho, sigma)
-    w = np.linalg.eigvalsh(np.stack([a, b, (a + b) / 2.0]))
-    if w[0, 0] < -PSD_CLAMP or w[1, 0] < -PSD_CLAMP:
-        raise DomainError("inputs must be positive semidefinite")
-    h = entropy_from_eigenvalues(w)
-    return max(float(h[2] - 0.5 * h[0] - 0.5 * h[1]), 0.0)
+    return float(qjsd_sides(np.array([a, b]))[0])
 
 
 def qjsd_via_relative_entropy(rho, sigma) -> float:
@@ -304,9 +335,9 @@ def pure_triangle_scan(grid_steps: int, x_steps: int = 20) -> ScanResult:
     sqrt(phi(z)) - sqrt(phi(x)). Returns the minimum and its location.
     """
     if grid_steps < 2:
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
+        raise InvalidConfig(f"grid_steps must be >= 2, got {grid_steps}")
     if x_steps < 2:
-        raise ValueError(f"x_steps must be >= 2, got {x_steps}")
+        raise InvalidConfig(f"x_steps must be >= 2, got {x_steps}")
     radii = np.linspace(0.0, 1.0, grid_steps)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_steps, endpoint=False)
     disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -384,7 +415,7 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     this value and never exceeds qjsd(rho, sigma).
     """
     if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+        raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
     a, b = _two_states(rho, sigma)
     bases = [
         eigh(a - b).eigenvectors,

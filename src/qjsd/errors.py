@@ -49,8 +49,8 @@ class EdgeMismatch(QjsdError):
     """Histograms with different bin edges cannot be merged."""
 
 
-class InvalidConfig(QjsdError):
-    """A run configuration violates a precondition."""
+class InvalidConfig(QjsdError, ValueError):
+    """A run configuration or argument violates a precondition."""
 
 
 class ParseError(QjsdError):

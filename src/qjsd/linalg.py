@@ -70,9 +70,15 @@ def clamped_spectrum(w: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
 
 
 def matrix_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix via spectral calculus."""
+    """Principal square root of a PSD Hermitian matrix via spectral calculus.
+
+    Eigenvalues at or below the eigensolver's round-off level N*eps*max|w|
+    count as zero: a true zero comes out near 1e-16, and its square root,
+    near 1e-8, would otherwise pass into the result.
+    """
     w, v = eigh(m)
-    s = np.sqrt(clamped_spectrum(w))
+    w = clamped_spectrum(w)
+    s = np.sqrt(np.where(w > w.size * np.finfo(np.float64).eps * np.max(w), w, 0.0))
     return (v * s) @ v.conj().T
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimMismatch,
+    InvalidConfig,
     NotPositive,
     NotUnitary,
     ParseError,
@@ -229,9 +230,9 @@ class StateSampler:
 
     def __init__(self, dim: int, seed: int, mixedness_floor: float | None = None):
         if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+            raise InvalidConfig(f"dim must be >= 1, got {dim}")
         if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0:
-            raise ValueError(f"mixedness_floor must lie in [0, 1), got {mixedness_floor}")
+            raise InvalidConfig(f"mixedness_floor must lie in [0, 1), got {mixedness_floor}")
         self.dim = int(dim)
         self.seed = int(seed)
         self.mixedness_floor = mixedness_floor
@@ -260,18 +261,11 @@ def state_to_dict(rho) -> dict:
     }
 
 
-def state_to_json(rho) -> str:
-    """Serialize a density matrix with 17 significant digits per component."""
-    a = np.asarray(rho, dtype=np.complex128)
-    rows = []
-    for row in a:
-        rows.append("[" + ", ".join(f"[{z.real:.17g}, {z.imag:.17g}]" for z in row) + "]")
-    return '{"dim": %d, "matrix": [%s]}\n' % (a.shape[0], ", ".join(rows))
-
-
 def write_state_file(rho, path) -> None:
+    """Write a state file; floats use their shortest round-trip repr, so
+    reading it back gives the same matrix bit for bit."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(rho))
+        fh.write(json.dumps(state_to_dict(rho)) + "\n")
 
 
 def state_from_dict(obj) -> np.ndarray:

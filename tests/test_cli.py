@@ -130,6 +130,13 @@ def test_invalid_configuration_exits_64(tmp_path, capsys):
     # ANNEAL_FAST[2:] sets --t-initial too
     assert main(["anneal", "--dim", "2", "--out", str(tmp_path / "y.json")]
                 + ANNEAL_FAST[2:] + ["--t-initial", "1e-9"]) == 64
+    out = str(tmp_path / "z")
+    assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "1.5", "--out", out]) == 64
+    assert main(["sample", "--dim", "0", "--samples", "1", "--out", out]) == 64
+    assert main(["purescan", "--grid-steps", "1"]) == 64
+    p = tmp_path / "m.json"
+    write_state_file(MIXED, p)
+    assert main(["compare", str(p), str(p), "--restarts", "0"]) == 64
 
 
 def test_usage_errors_exit_64(capsys):

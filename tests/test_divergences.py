@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qjsd.anneal import AnnealSchedule
+from qjsd.audit import triangle_defect
 from qjsd.divergences import (
     classical_jsd,
     d_h_by_optimization,
@@ -18,6 +19,7 @@ from qjsd.divergences import (
     qjsd_sqrt,
     qjsd_via_relative_entropy,
     relative_entropy,
+    qjsd_sides,
     von_neumann_entropy,
     wootters_distance,
 )
@@ -75,6 +77,42 @@ def test_relative_entropy_commuting_case():
 # ---------------------------------------------------------------------------
 # Quantum JSD and its computation paths
 # ---------------------------------------------------------------------------
+
+def _triplet(rng, dim, kind):
+    if kind == "pure":
+        return np.stack([density_from_pure(rand_pure(rng, dim)) for _ in range(3)])
+    rho, sigma = rand_density(rng, dim), rand_density(rng, dim)
+    if kind == "coincident":
+        return np.stack([rho, rho, sigma])
+    return np.stack([rho, sigma, rand_density(rng, dim)])
+
+
+def test_qjsd_sides_qubit_values():
+    sides = qjsd_sides(np.stack([KET0, MIXED, KET1]))
+    assert sides.shape == (3,)
+    assert sides == pytest.approx([JSD_HALF, JSD_HALF, 1.0], abs=1e-14)
+    assert qjsd_sides(np.stack([KET0, MIXED])) == pytest.approx([JSD_HALF], abs=1e-14)
+    with pytest.raises(DimMismatch):
+        qjsd_sides(np.stack([KET0, MIXED, KET1, MIXED]))
+
+
+def test_qjsd_sides_stack_matches_one_at_a_time(rng):
+    # the audit's worker-count invariance rests on batching changing no bit
+    for dim in (2, 3, 4, 5):
+        trips = np.stack([_triplet(rng, dim, kind) for kind in ("mixed", "pure", "coincident") * 4])
+        spectra = np.linalg.eigvalsh(trips)
+        for k in (2, 3):
+            one_by_one = np.stack([qjsd_sides(t[:k]) for t in trips])
+            assert np.array_equal(qjsd_sides(trips[:, :k]), one_by_one)
+            assert np.array_equal(
+                qjsd_sides(trips[:, :k].reshape(3, 4, k, dim, dim)), one_by_one.reshape(3, 4, -1)
+            )
+            assert np.array_equal(
+                qjsd_sides(trips[:, :k], spectra=spectra[:, :k]),
+                np.stack([qjsd_sides(t[:k], spectra=w[:k]) for t, w in zip(trips, spectra)]),
+            )
+            assert np.all(one_by_one[2::3, 0] == 0.0)  # coincident states: D(rho, rho) is exactly 0
+
 
 def test_qjsd_equal_states_exact_zero():
     rho = rand_density(np.random.default_rng(1), 3)
@@ -216,6 +254,8 @@ def test_g_nonnegative_when_x_is_one():
 def test_g_domain_error():
     with pytest.raises(DomainError):
         g_function(1.2, 0.5, 0.5)
+    with pytest.raises(DomainError):  # the mixed-state defect rejects a non-PSD state
+        triangle_defect(KET0, MIXED, np.diag([1.2, -0.2]).astype(complex))
 
 
 def test_scan_corner_grid():

@@ -4,7 +4,7 @@ import pytest
 from qjsd.errors import DimMismatch, NotHermitian, NotPositive
 from qjsd.linalg import eigh, hs_inner, matrix_sqrt
 
-from conftest import rand_hermitian
+from conftest import rand_hermitian, rand_pure
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -54,6 +54,12 @@ def test_matrix_sqrt_diagonal():
 def test_matrix_sqrt_projector_idempotent():
     plus = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
     assert np.max(np.abs(matrix_sqrt(plus) - plus)) < 1e-12
+    # random projectors: their round-off zero eigenvalues must not leak through the sqrt
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        psi = rand_pure(rng, 3)
+        p = np.outer(psi, psi.conj())
+        assert np.max(np.abs(matrix_sqrt(p) - p)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])

@@ -17,8 +17,6 @@ from qjsd.states import (
     read_state_file,
     sample_state,
     simplex_point,
-    state_from_dict,
-    state_to_json,
     write_state_file,
 )
 
@@ -253,15 +251,16 @@ def test_state_file_roundtrip(tmp_path, rng):
     assert np.array_equal(rho.real, again.real) and np.array_equal(rho.imag, again.imag)
 
 
-def test_state_file_17_digits():
-    text = state_to_json(np.eye(2) / 2.0)
-    obj = json.loads(text)
+def test_state_file_17_digits(tmp_path):
+    path = tmp_path / "half.json"
+    write_state_file(np.eye(2) / 2.0, path)
+    obj = json.loads(path.read_text())
     assert obj["dim"] == 2
     assert obj["matrix"][0][0] == [0.5, 0.0]
     # a full-precision irrational entry survives the decimal round trip
     rho = np.array([[2.0 / 3.0, 0.1 + 0.2j], [0.1 - 0.2j, 1.0 / 3.0]])
-    back = state_from_dict(json.loads(state_to_json(rho)))
-    assert np.array_equal(back, rho)
+    write_state_file(rho, path)
+    assert np.array_equal(read_state_file(path), rho)
 
 
 def test_read_state_rejects_garbage(tmp_path):

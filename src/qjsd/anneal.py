@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,14 +39,14 @@ class AnnealSchedule:
     proposal_scale_ratio: float = 1.0
 
     def validate(self) -> "AnnealSchedule":
-        if not self.t_initial > self.t_final > 0.0:
-            raise InvalidConfig(f"need t_initial > t_final > 0, got {self.t_initial}, {self.t_final}")
+        if not math.inf > self.t_initial > self.t_final > 0.0:  # an infinite t_initial never cools
+            raise InvalidConfig(f"need inf > t_initial > t_final > 0, got {self.t_initial}, {self.t_final}")
         if not 0.0 < self.cooling_ratio < 1.0:
             raise InvalidConfig(f"cooling_ratio must lie in (0, 1), got {self.cooling_ratio}")
         if self.steps_per_temperature < 1:
             raise InvalidConfig(f"steps_per_temperature must be >= 1, got {self.steps_per_temperature}")
-        if not self.proposal_scale_ratio > 0.0:
-            raise InvalidConfig(f"proposal_scale_ratio must be > 0, got {self.proposal_scale_ratio}")
+        if not math.inf > self.proposal_scale_ratio > 0.0:
+            raise InvalidConfig(f"proposal_scale_ratio must lie in (0, inf), got {self.proposal_scale_ratio}")
         return self
 
     @classmethod
@@ -110,10 +111,16 @@ def _chain(
     objective: Callable[[np.ndarray], float],
     n_params: int,
     schedule: AnnealSchedule,
-    rng: np.random.Generator,
+    seed: int,
+    restart: int,
     canonicalize: Callable[[np.ndarray], np.ndarray] | None,
 ) -> tuple[float, np.ndarray, list[float]]:
-    """One Metropolis chain through the cooling schedule; returns best-ever."""
+    """One Metropolis chain through the cooling schedule; returns best-ever.
+
+    Restart r draws from derive_seed(seed, r), so a restart gives the same
+    chain in any process.
+    """
+    rng = np.random.default_rng(derive_seed(seed, restart))
     x = rng.standard_normal(n_params)
     if canonicalize is not None:
         x = canonicalize(x)
@@ -144,24 +151,37 @@ def _chain(
 def minimize(
     objective: Callable[[np.ndarray], float],
     n_params: int,
-    schedule: AnnealSchedule,
+    schedule: AnnealSchedule | None = None,
     seed: int = 0,
     restarts: int = 1,
     canonicalize: Callable[[np.ndarray], np.ndarray] | None = None,
+    workers: int = 1,
 ) -> tuple[float, np.ndarray, list[list[float]]]:
-    """Best-of-restarts annealing; each restart owns a derived RNG stream."""
+    """Best-of-restarts annealing; returns the best objective, its parameters
+    and each restart's best-so-far trace.
+
+    The schedule defaults to AnnealSchedule.defaults_for(n_params). Each
+    restart owns a derived RNG stream and ties keep the earliest restart, so
+    the result does not depend on `workers`. With workers > 1 the restarts
+    run in a process pool, and `objective` and `canonicalize` must then be
+    picklable: top-level functions or functools.partial of them, not lambdas
+    or closures.
+    """
+    if schedule is None:
+        schedule = AnnealSchedule.defaults_for(n_params)
     schedule.validate()
     if restarts < 1:
         raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
-    best_f, best_x = math.inf, None
-    traces: list[list[float]] = []
-    for r in range(restarts):
-        rng = np.random.default_rng(derive_seed(seed, r))
-        f, x, trace = _chain(objective, n_params, schedule, rng, canonicalize)
-        traces.append(trace)
-        if f < best_f:
-            best_f, best_x = f, x
-    return best_f, best_x, traces
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    chain = partial(_chain, objective, n_params, schedule, seed, canonicalize=canonicalize)
+    if workers > 1 and restarts > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, restarts)) as pool:
+            outcomes = list(pool.map(chain, range(restarts)))
+    else:
+        outcomes = [chain(r) for r in range(restarts)]
+    best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals
+    return best_f, best_x, [trace for _, _, trace in outcomes]
 
 
 @dataclass
@@ -176,17 +196,6 @@ class AnnealResult:
     dim: int = 2
     objective: str = "single"
     schedule: AnnealSchedule | None = None
-
-
-def _run_restart(objective_name: str, dim: int, schedule: AnnealSchedule, seed: int, restart: int):
-    """Top-level single-restart driver, picklable for process pools."""
-    obj = _OBJECTIVES[objective_name]
-    n_params = 6 * dim * dim
-    rng = np.random.default_rng(derive_seed(seed, restart))
-    return _chain(
-        lambda x: obj(x, dim), n_params, schedule, rng,
-        lambda x: _normalize_blocks(x, dim),
-    )
 
 
 def run_anneal(
@@ -206,34 +215,13 @@ def run_anneal(
         raise InvalidConfig(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
     if dim < 2:
         raise InvalidConfig(f"dim must be >= 2, got {dim}")
-    if restarts < 1:
-        raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
     n_params = 6 * dim * dim
-    if schedule is None:
+    if schedule is None:  # resolved here too: the result records it
         schedule = AnnealSchedule.defaults_for(n_params)
-    schedule.validate()
-
-    if workers > 1 and restarts > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, restarts)) as pool:
-            outcomes = list(
-                pool.map(
-                    _run_restart,
-                    [objective] * restarts,
-                    [dim] * restarts,
-                    [schedule] * restarts,
-                    [seed] * restarts,
-                    range(restarts),
-                )
-            )
-    else:
-        outcomes = [_run_restart(objective, dim, schedule, seed, r) for r in range(restarts)]
-
-    best_f, best_x = math.inf, None
-    traces = []
-    for f, x, trace in outcomes:
-        traces.append(trace)
-        if f < best_f:
-            best_f, best_x = f, x
+    best_f, best_x, traces = minimize(
+        partial(_OBJECTIVES[objective], dim=dim), n_params, schedule, seed, restarts,
+        partial(_normalize_blocks, dim=dim), workers,
+    )
     states = list(_decode_triplet(best_x, dim))
     if objective == "single":
         # The defect is exactly invariant under exchanging the outer states,

@@ -10,6 +10,7 @@ exactly, bit for bit, with no dependence on worker count or scheduling.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -57,8 +58,10 @@ class Histogram:
 
 def histogram_edges(bin_width: float, tail_max: float) -> np.ndarray:
     """Edges tiling [-tail_max, tail_max) in steps of bin_width."""
-    if bin_width <= 0.0 or tail_max <= 0.0:
-        raise InvalidConfig("bin_width and tail_max must be positive")
+    if not (0.0 < bin_width < math.inf and 0.0 < tail_max < math.inf):
+        raise InvalidConfig(
+            f"bin_width and tail_max must be positive and finite, got {bin_width}, {tail_max}"
+        )
     nbins = int(round(2.0 * tail_max / bin_width))
     if nbins < 1 or abs(nbins * bin_width - 2.0 * tail_max) > 1e-9:
         raise InvalidConfig(
@@ -175,8 +178,8 @@ def run_audit(
         raise InvalidConfig(f"dim must be >= 2, got {dim}")
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
-    if tolerance < 0.0:
-        raise InvalidConfig(f"tolerance must be >= 0, got {tolerance}")
+    if not 0.0 <= tolerance < math.inf:
+        raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0:

@@ -95,13 +95,15 @@ def cmd_compare(args) -> int:
     sigma = read_state_file(args.state_b)
     if rho.shape != sigma.shape:
         raise DimMismatch(f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ")
+    q = div.qjsd(rho, sigma)
+    f = div.fidelity(rho, sigma)
     table = {
-        "qjsd": div.qjsd(rho, sigma),
+        "qjsd": q,
         "qjsd_spectral": div.qjsd_spectral(rho, sigma),
-        "qjsd_sqrt": div.qjsd_sqrt(rho, sigma),
+        "qjsd_sqrt": float(np.sqrt(q)),  # qjsd_sqrt(rho, sigma) without a second qjsd
         "hilbert_schmidt": div.hilbert_schmidt_distance(rho, sigma),
-        "fidelity": div.fidelity(rho, sigma),
-        "d_h_closed_form": div.d_h_closed_form(rho, sigma),
+        "fidelity": f,
+        "d_h_closed_form": float(np.sqrt(div.phi_pure(f))),  # d_h_closed_form(rho, sigma)
         "djs1_lower_bound": div.djs1_lower_bound(rho, sigma, restarts=args.restarts, seed=args.seed),
     }
     pure_cut = 1.0 - 1e-10

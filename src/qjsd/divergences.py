@@ -283,13 +283,7 @@ def qjsd_sqrt(rho, sigma) -> float:
 def _phi_raw(x):
     """Divergence of two pure states with overlap magnitude x; no domain check."""
     xm = np.minimum(np.asarray(x, dtype=np.float64), 1.0)
-    p = (1.0 - xm) / 2.0
-    q = (1.0 + xm) / 2.0
-    out = np.zeros_like(xm)
-    for t in (p, q):
-        safe = np.where(t > 0.0, t, 1.0)
-        out -= t * np.log2(safe)
-    return np.maximum(out, 0.0)
+    return np.maximum(entropy_from_eigenvalues(np.stack([(1.0 - xm) / 2.0, (1.0 + xm) / 2.0], -1)), 0.0)
 
 
 def phi_pure(x):
@@ -481,7 +475,7 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     averaged purification projectors. Serves as an independent check on
     d_h_closed_form: it can approach but not beat it.
     """
-    from .anneal import AnnealSchedule, minimize  # deferred: anneal imports this module
+    from .anneal import minimize  # deferred: anneal imports this module
 
     a, b = _two_states(rho, sigma)
     check_density(a)
@@ -489,26 +483,16 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     psi = purification(a, np.eye(n))
     sw, sv = eigh(check_density(b))
     weighted = sv * np.sqrt(clamped_spectrum(sw))
-    n_params = 2 * n * n
 
     def objective(theta: np.ndarray) -> float:
-        v = _unitary_from_params(theta, n)
-        phi_vec = (weighted @ v.T).reshape(-1)
-        # the averaged projector has rank <= 2, so its spectrum lives on the
-        # 2x2 Gram matrix of the two purifications
-        gram = np.empty((2, 2), dtype=np.complex128)
-        gram[0, 0] = np.vdot(psi, psi)
-        gram[1, 1] = np.vdot(phi_vec, phi_vec)
-        gram[0, 1] = np.vdot(psi, phi_vec)
-        gram[1, 0] = gram[0, 1].conjugate()
-        h = entropy_from_eigenvalues(np.linalg.eigvalsh(gram / 2.0))
-        return float(np.sqrt(max(h, 0.0)))
+        phi_vec = (weighted @ _unitary_from_params(theta, n).T).reshape(-1)
+        # the averaged projector of two unit vectors has the spectrum
+        # (1 -+ |<psi|phi>|)/2, whose entropy is phi(|<psi|phi>|)
+        return float(np.sqrt(_phi_raw(abs(np.vdot(psi, phi_vec)))))
 
     def gauge(theta: np.ndarray) -> np.ndarray:
         nrm = float(np.linalg.norm(theta)) / math.sqrt(n)
         return theta / nrm if nrm > 0.0 else theta
 
-    if schedule is None:
-        schedule = AnnealSchedule.defaults_for(n_params)
-    best, _, _ = minimize(objective, n_params, schedule, seed=seed, restarts=restarts, canonicalize=gauge)
+    best, _, _ = minimize(objective, 2 * n * n, schedule, seed=seed, restarts=restarts, canonicalize=gauge)
     return best

@@ -103,6 +103,9 @@ def test_schedule_defaults_and_validation():
         AnnealSchedule(steps_per_temperature=10, cooling_ratio=1.0).validate()
     with pytest.raises(InvalidConfig):
         AnnealSchedule(steps_per_temperature=0).validate()
+    for bad in ({"t_initial": np.inf}, {"proposal_scale_ratio": np.inf}, {"proposal_scale_ratio": np.nan}):
+        with pytest.raises(InvalidConfig):
+            AnnealSchedule(steps_per_temperature=10, **bad).validate()
 
 
 def test_run_anneal_deterministic():

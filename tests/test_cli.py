@@ -124,12 +124,19 @@ def test_purescan_exit_and_payload(capsys):
 
 
 def test_invalid_configuration_exits_64(tmp_path, capsys):
-    assert main(["audit", "--dim", "2", "--samples", "0", "--seed", "1",
-                 "--out", str(tmp_path / "x")]) == 64
+    audit = ["audit", "--dim", "2", "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")]
+    assert main(audit + ["--samples", "0"]) == 64
+    # non-finite settings; a nan tolerance would count a violation as neither
+    # a violation nor noise
+    assert main(audit + ["--tolerance", "nan"]) == 64
+    assert main(audit + ["--bin-width", "nan"]) == 64
+    assert main(audit + ["--tail-max", "inf"]) == 64
     # the invalid value comes last: argparse keeps the last occurrence, and
     # ANNEAL_FAST[2:] sets --t-initial too
-    assert main(["anneal", "--dim", "2", "--out", str(tmp_path / "y.json")]
-                + ANNEAL_FAST[2:] + ["--t-initial", "1e-9"]) == 64
+    anneal = ["anneal", "--dim", "2", "--out", str(tmp_path / "y.json")]
+    assert main(anneal + ANNEAL_FAST[2:] + ["--t-initial", "1e-9"]) == 64
+    assert main(anneal + ANNEAL_FAST + ["--workers", "0"]) == 64
+    assert main(anneal + ANNEAL_FAST + ["--t-initial", "inf"]) == 64  # would never cool
     out = str(tmp_path / "z")
     assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "1.5", "--out", out]) == 64
     assert main(["sample", "--dim", "0", "--samples", "1", "--out", out]) == 64

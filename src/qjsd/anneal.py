@@ -16,7 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,32 +65,48 @@ def decode_state(block: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _decode_triplet(params: np.ndarray, dim: int) -> np.ndarray:
-    """Decode any number of consecutive 2*dim^2-real blocks into a
-    (blocks, dim, dim) stack of density matrices, as decode_state does one."""
-    x = np.asarray(params, dtype=np.float64).reshape(-1, 2, dim, dim)
-    a = x[:, 0] + 1j * x[:, 1]
+    """Decode consecutive 2*dim^2-real blocks into density matrices, as
+    decode_state does one: (..., blocks * 2*dim^2) -> (..., blocks, dim, dim)."""
+    x = np.asarray(params, dtype=np.float64)
+    x = x.reshape(x.shape[:-1] + (-1, 2, dim, dim))
+    a = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     g = a @ np.conj(np.swapaxes(a, -2, -1))
     tr = np.trace(g, axis1=-2, axis2=-1).real
     if np.min(tr) <= _TRACE_FLOOR:
         raise DegenerateBlock(f"Tr(A A†) = {float(np.min(tr))!r}")
-    return g / tr[:, None, None]
+    return g / tr[..., None, None]
 
 
-def objective_single(params: np.ndarray, dim: int) -> float:
-    """Triangle defect d(rho,xi) + d(xi,sigma) - d(rho,sigma) of the decoded triplet."""
-    d01, d12, d02 = np.sqrt(qjsd_sides(_decode_triplet(params, dim))).tolist()
-    return d01 + d12 - d02
+def _sides(params: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    d = np.sqrt(qjsd_sides(_decode_triplet(params, dim)))
+    return d[..., 0], d[..., 1], d[..., 2]
 
 
-def objective_symmetrized(params: np.ndarray, dim: int) -> float:
+def _float_if_scalar(f):
+    return float(f) if np.ndim(f) == 0 else f
+
+
+def objective_single(params: np.ndarray, dim: int):
+    """Triangle defect d(rho,xi) + d(xi,sigma) - d(rho,sigma) of the decoded triplet.
+
+    Takes one parameter vector, giving a float, or a stack (..., 6*dim^2),
+    giving an array of the leading shape; each row's value is bit for bit
+    what the row alone gives.
+    """
+    d01, d12, d02 = _sides(params, dim)
+    return _float_if_scalar(d01 + d12 - d02)
+
+
+def objective_symmetrized(params: np.ndarray, dim: int):
     """Mean triangle defect over the three choices of pivot state.
 
     The three defects sum to the perimeter, so this is (d01 + d12 + d02) / 3.
     It is therefore never negative and cannot exhibit a triangle violation;
     its minimum 0 is reached on every coincident triplet, wherever it lies.
+    Takes one parameter vector or a stack, as objective_single does.
     """
-    d01, d12, d02 = np.sqrt(qjsd_sides(_decode_triplet(params, dim))).tolist()
-    return ((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0
+    d01, d12, d02 = _sides(params, dim)
+    return _float_if_scalar(((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0)
 
 
 _OBJECTIVES = {"single": objective_single, "symmetrized": objective_symmetrized}
@@ -99,57 +115,69 @@ _OBJECTIVES = {"single": objective_single, "symmetrized": objective_symmetrized}
 def _normalize_blocks(params: np.ndarray, dim: int) -> np.ndarray:
     """Rescale each block to Frobenius norm sqrt(dim); decode-equivalent.
 
-    Without this, the block norms random-walk upward during the hot phase and
-    the temperature-scaled proposals stop moving the decoded states.
+    Takes one parameter vector or a stack (..., 6*dim^2). Without this, the
+    block norms random-walk upward during the hot phase and the
+    temperature-scaled proposals stop moving the decoded states.
     """
-    b = params.reshape(3, -1)
-    nrm = np.linalg.norm(b, axis=1, keepdims=True) / math.sqrt(dim)
-    return (b / np.where(nrm > 0.0, nrm, 1.0)).reshape(-1)
+    b = params.reshape(params.shape[:-1] + (3, -1))
+    nrm = np.linalg.norm(b, axis=-1, keepdims=True) / math.sqrt(dim)
+    return (b / np.where(nrm > 0.0, nrm, 1.0)).reshape(params.shape)
 
 
-def _chain(
-    objective: Callable[[np.ndarray], float],
+def _chains(
+    objective: Callable[[np.ndarray], np.ndarray],
     n_params: int,
     schedule: AnnealSchedule,
     seed: int,
-    restart: int,
     canonicalize: Callable[[np.ndarray], np.ndarray] | None,
-) -> tuple[float, np.ndarray, list[float]]:
-    """One Metropolis chain through the cooling schedule; returns best-ever.
+    restarts: Sequence[int],
+) -> list[tuple[float, np.ndarray, list[float]]]:
+    """Metropolis chains of the listed restarts through the cooling schedule,
+    advanced in lockstep as the rows of one array; returns each one's
+    best-ever objective, point and best-so-far trace.
 
-    Restart r draws from derive_seed(seed, r), so a restart gives the same
-    chain in any process.
+    Each step makes one objective call and, if any row accepts, one
+    canonicalize call over all rows. Restart r draws from its own
+    derive_seed(seed, r) stream in the order a lone chain would (proposal
+    noise, then a Metropolis uniform only when the proposal goes uphill), so
+    every row is bit for bit the chain of its restart run alone, in any
+    company and in any process.
     """
-    rng = np.random.default_rng(derive_seed(seed, restart))
-    x = rng.standard_normal(n_params)
+    rngs = [np.random.default_rng(derive_seed(seed, r)) for r in restarts]
+    x = np.stack([rng.standard_normal(n_params) for rng in rngs])
     if canonicalize is not None:
         x = canonicalize(x)
     fx = objective(x)
-    best_f, best_x = fx, x.copy()
-    trace: list[float] = []
+    best_f, best_x = fx.copy(), x.copy()
+    noise = np.empty_like(x)
+    trace: list[list[float]] = []  # per temperature, one best value per row
     t = schedule.t_initial
     while t > schedule.t_final:
         sigma = schedule.proposal_scale_ratio * t
         for _ in range(schedule.steps_per_temperature):
-            cand = x + sigma * rng.standard_normal(n_params)
+            for rng, row in zip(rngs, noise):
+                rng.standard_normal(out=row)
+            cand = x + sigma * noise
             fc = objective(cand)
-            if fc <= fx:
-                accept = True
-            else:
-                delta = (fc - fx) / t
-                accept = delta < 700.0 and rng.random() < math.exp(-delta)
-            if accept:
-                x = canonicalize(cand) if canonicalize is not None else cand
-                fx = fc
-                if fc < best_f:
-                    best_f, best_x = fc, x.copy()
-        trace.append(best_f)
+            accept = fc <= fx
+            for i in np.flatnonzero(~accept):
+                delta = float(fc[i] - fx[i]) / t
+                accept[i] = delta < 700.0 and rngs[i].random() < math.exp(-delta)
+            if accept.any():
+                if canonicalize is not None:
+                    cand = canonicalize(cand)
+                np.copyto(x, cand, where=accept[:, None])
+                np.copyto(fx, fc, where=accept)
+                better = accept & (fc < best_f)
+                np.copyto(best_x, x, where=better[:, None])
+                np.copyto(best_f, fc, where=better)
+        trace.append(best_f.tolist())
         t *= schedule.cooling_ratio
-    return best_f, best_x, trace
+    return [(f, bx, list(tr)) for f, bx, tr in zip(best_f.tolist(), best_x, zip(*trace))]
 
 
 def minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     n_params: int,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
@@ -160,12 +188,18 @@ def minimize(
     """Best-of-restarts annealing; returns the best objective, its parameters
     and each restart's best-so-far trace.
 
+    The restarts run in lockstep as the rows of one (restarts, n_params)
+    array. So `objective` maps rows (K, n_params) to values (K,), and
+    `canonicalize`, a decode-equivalent gauge applied to accepted points,
+    maps rows to rows; both must treat each row as they would treat it
+    alone. The outcome is then bit-identical to running each restart alone.
+
     The schedule defaults to AnnealSchedule.defaults_for(n_params). Each
     restart owns a derived RNG stream and ties keep the earliest restart, so
     the result does not depend on `workers`. With workers > 1 the restarts
-    run in a process pool, and `objective` and `canonicalize` must then be
-    picklable: top-level functions or functools.partial of them, not lambdas
-    or closures.
+    are split into that many groups that run in a process pool, and
+    `objective` and `canonicalize` must then be picklable: top-level
+    functions or functools.partial of them, not lambdas or closures.
     """
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
@@ -174,12 +208,14 @@ def minimize(
         raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    chain = partial(_chain, objective, n_params, schedule, seed, canonicalize=canonicalize)
-    if workers > 1 and restarts > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, restarts)) as pool:
-            outcomes = list(pool.map(chain, range(restarts)))
+    chains = partial(_chains, objective, n_params, schedule, seed, canonicalize)
+    n_groups = min(workers, restarts)
+    if n_groups > 1:
+        groups = [range(restarts * g // n_groups, restarts * (g + 1) // n_groups) for g in range(n_groups)]
+        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+            outcomes = [o for part in pool.map(chains, groups) for o in part]
     else:
-        outcomes = [chain(r) for r in range(restarts)]
+        outcomes = chains(range(restarts))
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals
     return best_f, best_x, [trace for _, _, trace in outcomes]
 

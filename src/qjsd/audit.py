@@ -157,6 +157,13 @@ def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
     return hist, violations, noise, smallest
 
 
+def _check_mixedness_floor(dim: int, mixedness_floor: float | None) -> None:
+    # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
+    # state, so a higher floor would reject every draw until the budget ends
+    if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:
+        raise InvalidConfig(f"mixedness_floor must lie in [0, 1 - 1/{dim}), got {mixedness_floor}")
+
+
 def run_audit(
     dim: int,
     samples: int,
@@ -182,8 +189,7 @@ def run_audit(
         raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0:
-        raise InvalidConfig(f"mixedness_floor must lie in [0, 1), got {mixedness_floor}")
+    _check_mixedness_floor(dim, mixedness_floor)
     edges = histogram_edges(bin_width, tail_max)
 
     # shard boundaries sit on chunk multiples so batch compositions, and hence
@@ -228,6 +234,7 @@ def run_audit(
 
 def regenerate_triplet(dim: int, triplet_seed: int, mixedness_floor: float | None = None):
     """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample."""
+    _check_mixedness_floor(dim, mixedness_floor)
     rng = np.random.default_rng(triplet_seed)
     out = []
     for _ in range(3):

@@ -459,9 +459,10 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     """Polar factor of the complex matrix encoded by 2 n^2 reals.
 
     Smooth, surjective onto U(n), and scale-invariant, so the annealer can
-    gauge-fix the parameter norm without changing the decoded unitary.
+    gauge-fix the parameter norm without changing the decoded unitary. Takes
+    one parameter vector or a stack (..., 2 n^2), giving (..., n, n).
     """
-    b = (theta[: n * n] + 1j * theta[n * n :]).reshape(n, n)
+    b = (theta[..., : n * n] + 1j * theta[..., n * n :]).reshape(theta.shape[:-1] + (n, n))
     u, _, wh = np.linalg.svd(b)
     return u @ wh
 
@@ -484,15 +485,18 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     sw, sv = eigh(check_density(b))
     weighted = sv * np.sqrt(clamped_spectrum(sw))
 
-    def objective(theta: np.ndarray) -> float:
-        phi_vec = (weighted @ _unitary_from_params(theta, n).T).reshape(-1)
+    def objective(theta: np.ndarray) -> np.ndarray:
+        phi_vecs = (weighted @ np.swapaxes(_unitary_from_params(theta, n), -2, -1)).reshape(len(theta), -1)
+        ov = np.array([np.vdot(psi, row) for row in phi_vecs])
         # the averaged projector of two unit vectors has the spectrum
-        # (1 -+ |<psi|phi>|)/2, whose entropy is phi(|<psi|phi>|)
-        return float(np.sqrt(_phi_raw(abs(np.vdot(psi, phi_vec)))))
+        # (1 -+ |<psi|phi>|)/2, whose entropy is phi(|<psi|phi>|); hypot
+        # rounds as abs() of one complex does, np.abs on complex arrays not
+        return np.sqrt(_phi_raw(np.hypot(ov.real, ov.imag)))
 
     def gauge(theta: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(theta)) / math.sqrt(n)
-        return theta / nrm if nrm > 0.0 else theta
+        # per row sqrt(t.dot(t)), as np.linalg.norm takes it for one vector
+        nrm = np.array([math.sqrt(t.dot(t)) for t in theta]) / math.sqrt(n)
+        return theta / np.where(nrm > 0.0, nrm, 1.0)[:, None]
 
     best, _, _ = minimize(objective, 2 * n * n, schedule, seed=seed, restarts=restarts, canonicalize=gauge)
     return best

@@ -1,8 +1,13 @@
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
 from qjsd.anneal import (
     AnnealSchedule,
+    _chains,
+    _normalize_blocks,
     decode_state,
     objective_single,
     objective_symmetrized,
@@ -121,6 +126,49 @@ def test_run_anneal_worker_invariance():
     b = run_anneal("symmetrized", 2, schedule=_FAST, seed=6, restarts=2, workers=2)
     assert a.best_objective == b.best_objective
     assert np.array_equal(a.best_params, b.best_params)
+
+
+@pytest.mark.parametrize("objective, dim", [(objective_single, 2), (objective_symmetrized, 3)])
+def test_lockstep_rows_match_lone_chains(objective, dim):
+    n_params = 6 * dim * dim
+    chains = partial(_chains, partial(objective, dim=dim), n_params, _FAST, 5, partial(_normalize_blocks, dim=dim))
+    together = chains([0, 1, 2, 3])
+    for r, (best_f, best_x, trace) in enumerate(together):
+        [(lone_f, lone_x, lone_trace)] = chains([r])
+        assert best_f == lone_f
+        assert best_x.tobytes() == lone_x.tobytes()
+        assert trace == lone_trace
+    assert len({f for f, _, _ in together}) == 4  # the rows are distinct chains
+
+
+def test_run_anneal_result_independent_of_workers():
+    dumps = {
+        json.dumps(result_to_dict(run_anneal("single", 2, schedule=_FAST, seed=3, restarts=3, workers=w)))
+        for w in (1, 2, 3)
+    }
+    assert len(dumps) == 1
+
+
+def _coincident_row(rng, dim):
+    block = rng.standard_normal(2 * dim * dim)
+    return np.concatenate([block, 2.0 * block, rng.standard_normal(2 * dim * dim)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_batched_kernels_match_row_by_row(rng, dim, k):
+    stack = rng.standard_normal((k, 6 * dim * dim))
+    stack[-1] = _coincident_row(rng, dim)  # states 0 and 1 decode alike
+    for fn in (objective_single, objective_symmetrized):
+        batched = fn(stack, dim)
+        assert batched.shape == (k,)
+        rows = [fn(row, dim) for row in stack]
+        assert all(isinstance(v, float) for v in rows)
+        assert batched.tolist() == rows
+    normalized = _normalize_blocks(stack, dim)
+    assert normalized.shape == stack.shape
+    for got, row in zip(normalized, stack):
+        assert got.tobytes() == _normalize_blocks(row, dim).tobytes()
 
 
 def test_run_anneal_contract_invariants():

@@ -159,3 +159,10 @@ def test_invalid_configs():
         run_audit(dim=2, samples=10, seed=0, bin_width=0.003)
     with pytest.raises(InvalidConfig):
         run_audit(dim=2, samples=10, seed=0, mixedness_floor=1.5)
+    # 1 - Tr(rho^2) never exceeds 1 - 1/dim, so these floors reject every draw
+    with pytest.raises(InvalidConfig):
+        run_audit(dim=2, samples=1, seed=0, mixedness_floor=0.6)
+    with pytest.raises(InvalidConfig):
+        run_audit(dim=3, samples=1, seed=0, mixedness_floor=1.0 - 1.0 / 3.0)  # only 1/3 reaches it
+    with pytest.raises(InvalidConfig):
+        regenerate_triplet(2, 5, 1.5)

@@ -126,6 +126,7 @@ def test_purescan_exit_and_payload(capsys):
 def test_invalid_configuration_exits_64(tmp_path, capsys):
     audit = ["audit", "--dim", "2", "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")]
     assert main(audit + ["--samples", "0"]) == 64
+    assert main(audit + ["--mixedness-floor", "0.6"]) == 64  # above 1 - 1/dim, no state qualifies
     # non-finite settings; a nan tolerance would count a violation as neither
     # a violation nor noise
     assert main(audit + ["--tolerance", "nan"]) == 64

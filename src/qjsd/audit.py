@@ -1,16 +1,24 @@
 """Monte Carlo audit of the triangle inequality for the square root of the
 quantum Jensen-Shannon divergence.
 
-Each triplet index hashes to its own RNG seed, so a run is reproducible
-triplet by triplet: the report records the seeds of the smallest defects
-found, and feeding such a seed to a StateSampler regenerates that triplet
-exactly, bit for bit, with no dependence on worker count or scheduling.
+Each triplet index hashes to its own 64-bit triplet seed, and the three
+states of a triplet are drawn from a counter-based stream keyed by
+derive_seed(triplet_seed, t), t = 0, 1, 2 (see `qjsd.states`). A whole chunk
+of triplets is drawn in a few numpy passes, and a run is reproducible triplet
+by triplet: the report records the seeds of the smallest defects found, and
+`regenerate_triplet` rebuilds such a triplet exactly, bit for bit, with no
+dependence on worker count or scheduling.
+
+Reports carry `sampler_version`. Version 2 is the counter-based stream;
+version 1, from reports without the field, drew each triplet from its own
+numpy Generator, so its triplet seeds do not regenerate under version 2.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -20,12 +28,14 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides, qjsd_sqrt
 from .errors import DimMismatch, EdgeMismatch, InvalidConfig
-from .states import derive_seed, draw_state_params, states_from_params
+from .states import CounterStream, derive_seed, draw_state_params, states_from_params
 
 log = logging.getLogger("qjsd.audit")
 
 _CHUNK = 512  # triplets per batched linear-algebra pass
 _K_SMALLEST = 10
+_TRIPLET = np.arange(3, dtype=np.uint64)  # state index within a triplet
+SAMPLER_VERSION = 2
 
 
 def triangle_defect(rho, xi, sigma) -> float:
@@ -115,6 +125,15 @@ def _by_defect(samples) -> list[TriangleSample]:
     return sorted(samples, key=lambda s: (s.defect, s.triplet_index))[:_K_SMALLEST]
 
 
+def _draw_triplets(seeds: np.ndarray, dim: int, floor: float | None):
+    """The states (n, 3, dim, dim) and spectra (n, 3, dim) of the triplets
+    with the given uint64 triplet seeds."""
+    stream = CounterStream(derive_seed(seeds[:, None], _TRIPLET))
+    z, lam = draw_state_params(stream, dim, floor)
+    rhos = states_from_params(z, lam)
+    return rhos.reshape(-1, 3, dim, dim), lam.reshape(-1, 3, dim)
+
+
 def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
     """Audit triplet indices [start, stop); returns the histogram, the
     violation and noise counts, and the smallest defects."""
@@ -125,21 +144,10 @@ def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
     smallest: list[TriangleSample] = []
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        n = hi - lo
-        zs = np.empty((n, 3, dim, dim), dtype=np.complex128)
-        lams = np.empty((n, 3, dim), dtype=np.float64)
-        seeds = np.empty(n, dtype=np.uint64)
-        for j, idx in enumerate(range(lo, hi)):
-            ts = derive_seed(seed, idx)
-            seeds[j] = ts
-            rng = np.random.default_rng(ts)
-            for t in range(3):
-                z, lam = draw_state_params(rng, dim, floor)
-                zs[j, t] = z
-                lams[j, t] = lam
-        rhos = states_from_params(zs.reshape(-1, dim, dim), lams.reshape(-1, dim))
+        seeds = derive_seed(seed, np.arange(lo, hi, dtype=np.uint64))
+        rhos, lams = _draw_triplets(seeds, dim, floor)
         # state entropies come from the sampled spectra (rho = U diag(lam) U†)
-        d = np.sqrt(qjsd_sides(rhos.reshape(n, 3, dim, dim), spectra=lams))
+        d = np.sqrt(qjsd_sides(rhos, spectra=lams))
         defects = d[:, 0] + d[:, 1] - d[:, 2]
 
         pos = np.searchsorted(edges, defects, side="right") - 1
@@ -157,7 +165,9 @@ def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
     return hist, violations, noise, smallest
 
 
-def _check_mixedness_floor(dim: int, mixedness_floor: float | None) -> None:
+def _check_states(dim: int, mixedness_floor: float | None) -> None:
+    if dim < 2:
+        raise InvalidConfig(f"dim must be >= 2, got {dim}")
     # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
     # state, so a higher floor would reject every draw until the budget ends
     if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:
@@ -181,15 +191,13 @@ def run_audit(
     count as violations; defects in (-tolerance, 0) are logged as round-off
     noise. The report is identical for any worker count.
     """
-    if dim < 2:
-        raise InvalidConfig(f"dim must be >= 2, got {dim}")
+    _check_states(dim, mixedness_floor)
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
     if not 0.0 <= tolerance < math.inf:
         raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    _check_mixedness_floor(dim, mixedness_floor)
     edges = histogram_edges(bin_width, tail_max)
 
     # shard boundaries sit on chunk multiples so batch compositions, and hence
@@ -233,14 +241,13 @@ def run_audit(
 
 
 def regenerate_triplet(dim: int, triplet_seed: int, mixedness_floor: float | None = None):
-    """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample."""
-    _check_mixedness_floor(dim, mixedness_floor)
-    rng = np.random.default_rng(triplet_seed)
-    out = []
-    for _ in range(3):
-        z, lam = draw_state_params(rng, dim, mixedness_floor)
-        out.append(states_from_params(z[None], lam[None])[0])
-    return tuple(out)
+    """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample,
+    bit for bit as the audit drew it, given the audit's dim and floor."""
+    _check_states(dim, mixedness_floor)
+    if not isinstance(triplet_seed, numbers.Integral) or not 0 <= triplet_seed < 2**64:
+        raise InvalidConfig(f"triplet_seed must be an integer in [0, 2**64), got {triplet_seed!r}")
+    rhos, _ = _draw_triplets(np.array([triplet_seed], dtype=np.uint64), dim, mixedness_floor)
+    return tuple(rhos[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +279,7 @@ def write_histogram_csv(hist: Histogram, path) -> None:
 
 def report_to_dict(report: AuditReport) -> dict:
     return {
+        "sampler_version": SAMPLER_VERSION,
         "dim": report.dim,
         "samples": report.samples,
         "seed": report.seed,

@@ -116,6 +116,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.samples < 1:
+        raise InvalidConfig(f"samples must be >= 1, got {args.samples}")
     sampler = StateSampler(args.dim, args.seed, args.mixedness_floor)
     prefix = args.out or "state"
     for i in range(args.samples):

@@ -3,9 +3,28 @@ purifications, and seeded random sampling.
 
 Random mixed states are drawn from the product measure "Haar unitary times
 uniform eigenvalue simplex": rho = U diag(lam) U† with U Haar on U(N) and lam
-uniform on the probability simplex. All randomness flows through numpy
-Generators; derived streams come from a splitmix64-style hash so parallel
-work is reproducible triplet by triplet.
+uniform on the probability simplex. The unitary is the phase-corrected QR of
+a complex Ginibre matrix, and lam is a vector of normalized exponentials.
+
+Two sources of randomness feed the samplers. `StateSampler`, `sample_state`,
+`haar_unitary` and `simplex_point` draw from numpy Generators. The audit draws
+from a `CounterStream`: a counter-based stream in the style of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3" (SC'11). Its variates are pure
+functions of a 64-bit key and a slot number, the splitmix64 hash
+`derive_seed(key, slot)` turned into a 53-bit uniform u in (0, 1], so any
+number of keys is drawn in a few numpy passes and a key drawn alone gives the
+same bits as inside a batch. `draw_state_params` draws one state per key, with
+this slot layout for dimension N:
+
+- Ginibre entry (i, j) is the complex normal sqrt(-ln u1) exp(2 pi i u2),
+  with u1 from slot 2(iN + j) and u2 from slot 2(iN + j) + 1. Slots 0 to 2N² - 1
+  are drawn once, after the spectrum is accepted.
+- Rejection attempt a = 0, 1, ... draws the simplex point as the normalized
+  exponentials -ln u from slots 2N² + aN to 2N² + aN + N - 1. A mixedness
+  floor tests only the spectrum, so a rejected attempt draws no normals.
+
+Derived seeds and keys come from the same hash, so parallel work is
+reproducible triplet by triplet.
 """
 
 from __future__ import annotations
@@ -38,7 +57,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
+def _mix64(x):
     """splitmix64 finalizer."""
     x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -46,8 +65,12 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_seed(seed: int, *indices: int) -> int:
-    """Stable 64-bit hash of (seed, *indices), used to derive RNG sub-streams."""
+def derive_seed(seed, *indices):
+    """Stable 64-bit hash of (seed, *indices), used to derive RNG sub-streams.
+
+    Takes Python ints, or uint64 arrays that broadcast together; an array
+    element hashes to the same value as the int.
+    """
     x = seed & _MASK64
     for k in indices:
         x = _mix64(x ^ _mix64((k + _GOLDEN) & _MASK64))
@@ -190,22 +213,76 @@ def simplex_point(rng: np.random.Generator, dim: int) -> np.ndarray:
     return e / e.sum()
 
 
-def draw_state_params(rng, dim, mixedness_floor=None):
-    """Draw the raw (ginibre, eigenvalues) pair for one state, applying the
-    optional mixedness filter by rejection on the eigenvalues.
+class CounterStream:
+    """Counter-based random variates over a vector of 64-bit keys.
 
-    Separated from the QR step so large batches can orthonormalize in one
-    LAPACK call while staying bit-identical to single draws.
+    The variate at (key, slot) is a pure function of the two, so a stream
+    has no state to advance and a key gives the same bits at any position in
+    any batch. Each method takes a uint64 array of slots and the keys to draw
+    for (`rows`, an index into `keys`; all keys by default), and returns an
+    array of shape (number of keys,) + slots.shape.
     """
-    for _ in range(REJECTION_BUDGET):
-        s = rng.standard_normal((2, dim, dim))
-        lam = rng.standard_exponential(dim)
-        lam /= lam.sum()
-        if mixedness_floor is None or 1.0 - float(lam @ lam) >= mixedness_floor:
-            return (s[0] + 1j * s[1]) / np.sqrt(2.0), lam
-    raise RejectionBudgetExceeded(
-        f"mixedness_floor={mixedness_floor} rejected {REJECTION_BUDGET} consecutive draws"
-    )
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+
+    def _uniform(self, slots, rows) -> np.ndarray:
+        """53-bit uniforms in (0, 1] from the hash of (key, slot)."""
+        keys = self.keys if rows is None else self.keys[rows]
+        h = derive_seed(keys.reshape((-1,) + (1,) * slots.ndim), slots)
+        h >>= 11
+        u = h.astype(np.float64)
+        u += 1.0
+        u *= 2.0**-53
+        return u
+
+    def standard_exponential(self, slots, rows=None) -> np.ndarray:
+        """Exp(1) variates -ln u, one slot each."""
+        u = self._uniform(slots, rows)
+        np.log(u, out=u)
+        return np.negative(u, out=u)
+
+    def standard_normal(self, slots, rows=None) -> np.ndarray:
+        """Complex standard normals (x + iy)/sqrt(2), by Box-Muller on the
+        uniforms at slots s and s + 1: sqrt(-ln u_s) exp(2 pi i u_{s+1})."""
+        r = np.sqrt(self.standard_exponential(slots, rows))
+        theta = self._uniform(slots + 1, rows)
+        theta *= 2.0 * np.pi
+        z = np.empty(r.shape, dtype=np.complex128)
+        np.multiply(r, np.cos(theta), out=z.real)
+        np.multiply(r, np.sin(theta), out=z.imag)
+        return z
+
+
+def draw_state_params(stream, dim, mixedness_floor=None):
+    """Draw the raw (ginibre, eigenvalues) pair of one state per key of a
+    CounterStream, as (n, dim, dim) and (n, dim) arrays.
+
+    The slot layout is the module docstring's. With a mixedness floor, each
+    attempt redraws the spectra of the keys still rejected, all at the same
+    attempt number; the Ginibre matrices are drawn once, after every spectrum
+    is accepted. Only the stream's standard_exponential and standard_normal
+    are called, so a wrapper that forwards those two methods can stand in.
+    """
+    base = 2 * dim * dim
+    comps = np.arange(dim, dtype=np.uint64)
+    lam = stream.standard_exponential(base + comps)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    if mixedness_floor is not None:
+        pending = np.flatnonzero(1.0 - (lam * lam).sum(axis=-1) < mixedness_floor)
+        attempt = 1
+        while pending.size:
+            if attempt == REJECTION_BUDGET:
+                raise RejectionBudgetExceeded(
+                    f"mixedness_floor={mixedness_floor} rejected {REJECTION_BUDGET} consecutive draws"
+                )
+            e = stream.standard_exponential(base + attempt * dim + comps, pending)
+            e /= e.sum(axis=-1, keepdims=True)
+            lam[pending] = e
+            pending = pending[1.0 - (e * e).sum(axis=-1) < mixedness_floor]
+            attempt += 1
+    entries = 2 * np.arange(dim * dim, dtype=np.uint64).reshape(dim, dim)
+    return stream.standard_normal(entries), lam
 
 
 def states_from_params(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -215,9 +292,21 @@ def states_from_params(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def sample_state(rng: np.random.Generator, dim: int, mixedness_floor: float | None = None) -> np.ndarray:
-    """One random density matrix, rho = U diag(lam) U†."""
-    z, lam = draw_state_params(rng, dim, mixedness_floor)
-    return states_from_params(z[None], lam[None])[0]
+    """One random density matrix, rho = U diag(lam) U†.
+
+    Each attempt draws the Ginibre normals, then the exponentials; a
+    mixedness floor rejects on the eigenvalues.
+    """
+    for _ in range(REJECTION_BUDGET):
+        s = rng.standard_normal((2, dim, dim))
+        lam = rng.standard_exponential(dim)
+        lam /= lam.sum()
+        if mixedness_floor is None or 1.0 - float(lam @ lam) >= mixedness_floor:
+            z = (s[0] + 1j * s[1]) / np.sqrt(2.0)
+            return states_from_params(z[None], lam[None])[0]
+    raise RejectionBudgetExceeded(
+        f"mixedness_floor={mixedness_floor} rejected {REJECTION_BUDGET} consecutive draws"
+    )
 
 
 class StateSampler:

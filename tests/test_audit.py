@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qjsd.audit as audit_mod
 from qjsd.audit import (
     Histogram,
     histogram_csv,
@@ -12,6 +13,7 @@ from qjsd.audit import (
     triangle_defect,
 )
 from qjsd.errors import EdgeMismatch, InvalidConfig
+from qjsd.states import derive_seed
 
 from conftest import rand_density
 
@@ -148,6 +150,7 @@ def test_report_dict_fields():
     assert d["histogram"]["total"] == 50
     assert len(d["smallest_defects"]) == 10
     assert d["violations"] == 0
+    assert d["sampler_version"] == 2
 
 
 def test_invalid_configs():
@@ -166,3 +169,43 @@ def test_invalid_configs():
         run_audit(dim=3, samples=1, seed=0, mixedness_floor=1.0 - 1.0 / 3.0)  # only 1/3 reaches it
     with pytest.raises(InvalidConfig):
         regenerate_triplet(2, 5, 1.5)
+    for dim, triplet_seed in [(0, 5), (1, 5), (2, -1), (2, 2**64), (2, 2.0)]:
+        with pytest.raises(InvalidConfig):
+            regenerate_triplet(dim, triplet_seed)
+
+
+def test_audit_worker_count_invariance_with_floor():
+    kw = dict(dim=3, samples=3 * 512 + 100, seed=17, mixedness_floor=0.5)
+    one, three = run_audit(**kw, workers=1), run_audit(**kw, workers=3)
+    assert report_to_dict(one) == report_to_dict(three)
+    assert histogram_csv(one.histogram) == histogram_csv(three.histogram)
+
+
+@pytest.mark.parametrize("dim, floor", [(2, None), (2, 0.4), (3, None), (3, 0.5),
+                                        (4, None), (4, 0.6), (16, None), (16, 0.85)])
+def test_regenerate_triplet_is_the_chunk_draw(monkeypatch, dim, floor):
+    # every state the audit's chunks assembled, in triplet index order
+    drawn = []
+
+    def recording(z, lam):
+        rhos = assemble(z, lam)
+        drawn.append(rhos.reshape(-1, 3, dim, dim))
+        return rhos
+
+    assemble = audit_mod.states_from_params
+    monkeypatch.setattr(audit_mod, "states_from_params", recording)
+    samples = 600  # a full chunk and a partial one
+    rep = run_audit(dim=dim, samples=samples, seed=4, mixedness_floor=floor)
+    monkeypatch.undo()
+    drawn = np.concatenate(drawn)
+    assert drawn.shape[0] == samples
+    picked = [(s.triplet_index, s.triplet_seed) for s in rep.smallest]
+    picked += [(i, derive_seed(4, i)) for i in range(0, samples, 59)]
+    for index, triplet_seed in picked:
+        trip = regenerate_triplet(dim, triplet_seed, floor)
+        for rho, chunk_rho in zip(trip, drawn[index]):
+            assert np.array_equal(rho, chunk_rho)
+            if floor is not None:
+                assert 1.0 - np.vdot(rho, rho).real >= floor - 1e-12
+    for s in rep.smallest:
+        assert triangle_defect(*regenerate_triplet(dim, s.triplet_seed, floor)) == pytest.approx(s.defect, abs=1e-12)

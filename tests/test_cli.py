@@ -141,6 +141,7 @@ def test_invalid_configuration_exits_64(tmp_path, capsys):
     out = str(tmp_path / "z")
     assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "1.5", "--out", out]) == 64
     assert main(["sample", "--dim", "0", "--samples", "1", "--out", out]) == 64
+    assert main(["sample", "--dim", "2", "--samples", "-3", "--out", out]) == 64
     assert main(["purescan", "--grid-steps", "1"]) == 64
     p = tmp_path / "m.json"
     write_state_file(MIXED, p)

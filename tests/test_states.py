@@ -7,6 +7,7 @@ from scipy import stats
 import qjsd.states as states_mod
 from qjsd.errors import DimMismatch, NotUnitary, ParseError, RejectionBudgetExceeded
 from qjsd.states import (
+    CounterStream,
     StateSampler,
     density_from_pure,
     derive_seed,
@@ -125,10 +126,62 @@ def test_sample_state_is_valid_density():
 
 def test_sample_state_eigenvalues_match_simplex_draw():
     # rho = U diag(lam) U†: the sampled simplex point is the spectrum
-    rng = np.random.default_rng(17)
-    z, lam = states_mod.draw_state_params(rng, 4)
-    rho = states_mod.states_from_params(z[None], lam[None])[0]
-    assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), np.sort(lam), atol=1e-10)
+    z, lam = states_mod.draw_state_params(CounterStream([17]), 4)
+    rho = states_mod.states_from_params(z, lam)[0]
+    assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), np.sort(lam[0]), atol=1e-10)
+
+
+def _counter_draw(dim, n, floor=None, seed=99):
+    keys = derive_seed(seed, np.arange(n, dtype=np.uint64))
+    return states_mod.draw_state_params(CounterStream(keys), dim, floor)
+
+
+def _within(samples, mean, n_se=5.0):
+    """The sample mean lies within n_se standard errors of `mean`."""
+    se = samples.std(axis=0) / np.sqrt(samples.shape[0])
+    assert np.all(np.abs(samples.mean(axis=0) - mean) <= n_se * se + 1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_counter_sampler_law(dim):
+    n = 20_000
+    z, lam = _counter_draw(dim, n)
+    # Ginibre entries are circular complex normals with E|z|^2 = 1, E|z|^4 = 2
+    entries = z.reshape(-1)
+    _within(np.abs(entries) ** 2, 1.0)
+    _within(np.abs(entries) ** 4, 2.0)
+    for circular in (entries, entries * entries):  # E z = E z^2 = 0
+        _within(circular.real, 0.0)
+        _within(circular.imag, 0.0)
+    # uniform simplex: E sum lam^2 = 2/(d+1)
+    _within((lam * lam).sum(axis=-1), 2.0 / (dim + 1))
+    # Haar unitary: E|U_00|^4 = 2/(d(d+1)), and E rho = 1/d
+    u = states_mod.unitaries_from_ginibre(z)
+    _within(np.abs(u[:, 0, 0]) ** 4, 2.0 / (dim * (dim + 1)))
+    rhos = states_mod.states_from_params(z, lam).reshape(n, -1)
+    _within(rhos.real, np.eye(dim).reshape(-1) / dim)
+    _within(rhos.imag, 0.0)
+
+
+@pytest.mark.parametrize("dim, floor", [(2, 0.4), (3, 0.5), (16, 0.85)])
+def test_counter_sampler_meets_floor(dim, floor):
+    n = 2000 if dim < 16 else 200
+    z, lam = _counter_draw(dim, n, floor)
+    z0, lam0 = _counter_draw(dim, n)
+    assert np.all(1.0 - (lam * lam).sum(axis=-1) >= floor)
+    rhos = states_mod.states_from_params(z, lam)
+    assert np.all(1.0 - np.einsum("kij,kij->k", rhos, rhos.conj()).real >= floor - 1e-12)
+    # the floor redraws only rejected spectra; normals never depend on it
+    kept = 1.0 - (lam0 * lam0).sum(axis=-1) >= floor
+    assert 0 < np.count_nonzero(~kept)
+    assert np.array_equal(z, z0)
+    assert np.array_equal(lam[kept], lam0[kept])
+
+
+def test_counter_sampler_rejection_budget(monkeypatch):
+    monkeypatch.setattr(states_mod, "REJECTION_BUDGET", 50)
+    with pytest.raises(RejectionBudgetExceeded):
+        _counter_draw(2, 4, floor=0.6)  # qubit linear entropy tops out at 1/2
 
 
 def test_mean_purity_qubit():
@@ -240,6 +293,19 @@ def test_derive_seed_is_stable():
     vals = {derive_seed(5, k) for k in range(1000)}
     assert len(vals) == 1000
     assert all(0 <= v < 2**64 for v in vals)
+
+
+def test_derive_seed_vectorized_matches_scalar():
+    idx = np.arange(1000, dtype=np.uint64)
+    for seed in (0, 5, -1, 2**63, 2**64 - 1, 2**64 - 1000):
+        vec = derive_seed(seed, idx)
+        assert vec.dtype == np.uint64
+        assert [int(v) for v in vec] == [derive_seed(seed, k) for k in range(1000)]
+    # array seeds and indices near 2**64, broadcast as the audit keys its states
+    big = [2**64 - 1 - k for k in range(1000)]
+    vec = derive_seed(np.array(big, dtype=np.uint64)[:, None], np.array(big[:3], dtype=np.uint64))
+    assert vec.shape == (1000, 3)
+    assert [[int(v) for v in row] for row in vec] == [[derive_seed(s, k) for k in big[:3]] for s in big]
 
 
 def test_state_file_roundtrip(tmp_path, rng):

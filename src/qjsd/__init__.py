@@ -45,17 +45,14 @@ from .divergences import (
 )
 from .linalg import EigenDecomposition, eigh, hs_inner, matrix_sqrt
 from .states import (
-    StateSampler,
     density_from_pure,
     derive_seed,
-    haar_unitary,
     linear_entropy,
     partial_trace_second,
     projective_povm,
     purification,
     read_state_file,
-    sample_state,
-    simplex_point,
+    sample_states,
     write_state_file,
 )
 

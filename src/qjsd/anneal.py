@@ -23,7 +23,7 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
-from .states import derive_seed, state_to_dict
+from .states import check_sampling, derive_seed, state_to_dict, worker_groups
 
 _TRACE_FLOOR = 1e-30
 
@@ -197,7 +197,8 @@ def minimize(
     The schedule defaults to AnnealSchedule.defaults_for(n_params). Each
     restart owns a derived RNG stream and ties keep the earliest restart, so
     the result does not depend on `workers`. With workers > 1 the restarts
-    are split into that many groups that run in a process pool, and
+    are split into that many groups, at most one per restart and per CPU,
+    that run in a process pool, and
     `objective` and `canonicalize` must then be picklable: top-level
     functions or functools.partial of them, not lambdas or closures.
     """
@@ -209,10 +210,9 @@ def minimize(
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     chains = partial(_chains, objective, n_params, schedule, seed, canonicalize)
-    n_groups = min(workers, restarts)
-    if n_groups > 1:
-        groups = [range(restarts * g // n_groups, restarts * (g + 1) // n_groups) for g in range(n_groups)]
-        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+    groups = worker_groups(restarts, workers)
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             outcomes = [o for part in pool.map(chains, groups) for o in part]
     else:
         outcomes = chains(range(restarts))
@@ -249,8 +249,7 @@ def run_anneal(
     """
     if objective not in _OBJECTIVES:
         raise InvalidConfig(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
-    if dim < 2:
-        raise InvalidConfig(f"dim must be >= 2, got {dim}")
+    check_sampling(dim)
     n_params = 6 * dim * dim
     if schedule is None:  # resolved here too: the result records it
         schedule = AnnealSchedule.defaults_for(n_params)

@@ -28,7 +28,14 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides, qjsd_sqrt
 from .errors import DimMismatch, EdgeMismatch, InvalidConfig
-from .states import CounterStream, derive_seed, draw_state_params, states_from_params
+from .states import (
+    CounterStream,
+    check_sampling,
+    derive_seed,
+    draw_state_params,
+    states_from_params,
+    worker_groups,
+)
 
 log = logging.getLogger("qjsd.audit")
 
@@ -165,15 +172,6 @@ def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
     return hist, violations, noise, smallest
 
 
-def _check_states(dim: int, mixedness_floor: float | None) -> None:
-    if dim < 2:
-        raise InvalidConfig(f"dim must be >= 2, got {dim}")
-    # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
-    # state, so a higher floor would reject every draw until the budget ends
-    if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:
-        raise InvalidConfig(f"mixedness_floor must lie in [0, 1 - 1/{dim}), got {mixedness_floor}")
-
-
 def run_audit(
     dim: int,
     samples: int,
@@ -191,7 +189,7 @@ def run_audit(
     count as violations; defects in (-tolerance, 0) are logged as round-off
     noise. The report is identical for any worker count.
     """
-    _check_states(dim, mixedness_floor)
+    check_sampling(dim, mixedness_floor)
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
     if not 0.0 <= tolerance < math.inf:
@@ -202,20 +200,14 @@ def run_audit(
 
     # shard boundaries sit on chunk multiples so batch compositions, and hence
     # every floating-point result, match the single-worker run exactly
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    n_workers = max(1, min(workers, n_chunks))
-    per, extra = divmod(n_chunks, n_workers)
-    bounds = [0]
-    for w in range(n_workers):
-        bounds.append(bounds[-1] + per + (1 if w < extra else 0))
+    groups = worker_groups((samples + _CHUNK - 1) // _CHUNK, workers)
     shards = [
-        (dim, seed, mixedness_floor, bounds[w] * _CHUNK, min(bounds[w + 1] * _CHUNK, samples),
-         edges, tolerance)
-        for w in range(n_workers)
+        (dim, seed, mixedness_floor, g.start * _CHUNK, min(g.stop * _CHUNK, samples), edges, tolerance)
+        for g in groups
     ]
 
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    if len(shards) > 1:
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             parts = list(pool.map(_shard, shards))
     else:
         parts = [_shard(s) for s in shards]
@@ -243,7 +235,7 @@ def run_audit(
 def regenerate_triplet(dim: int, triplet_seed: int, mixedness_floor: float | None = None):
     """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample,
     bit for bit as the audit drew it, given the audit's dim and floor."""
-    _check_states(dim, mixedness_floor)
+    check_sampling(dim, mixedness_floor)
     if not isinstance(triplet_seed, numbers.Integral) or not 0 <= triplet_seed < 2**64:
         raise InvalidConfig(f"triplet_seed must be an integer in [0, 2**64), got {triplet_seed!r}")
     rhos, _ = _draw_triplets(np.array([triplet_seed], dtype=np.uint64), dim, mixedness_floor)

@@ -20,12 +20,14 @@ from . import anneal as anneal_mod
 from . import audit as audit_mod
 from . import divergences as div
 from .errors import DimMismatch, InvalidConfig, ParseError, QjsdError
-from .states import StateSampler, linear_entropy, read_state_file, write_state_file
+from .states import linear_entropy, read_state_file, sample_states, write_state_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
+SAMPLE_CHUNK = 512  # states drawn per batch by `qjsd sample`
 
 log = logging.getLogger("qjsd")
 
@@ -118,10 +120,11 @@ def cmd_compare(args) -> int:
 def cmd_sample(args) -> int:
     if args.samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {args.samples}")
-    sampler = StateSampler(args.dim, args.seed, args.mixedness_floor)
     prefix = args.out or "state"
-    for i in range(args.samples):
-        write_state_file(sampler.state(), f"{prefix}_{i:05d}.json")
+    for lo in range(0, args.samples, SAMPLE_CHUNK):
+        indices = np.arange(lo, min(lo + SAMPLE_CHUNK, args.samples))
+        for i, rho in zip(indices, sample_states(args.dim, args.seed, indices, args.mixedness_floor)):
+            write_state_file(rho, f"{prefix}_{i:05d}.json")
     print(f"wrote {args.samples} state files with prefix {prefix!r}")
     return EXIT_OK
 

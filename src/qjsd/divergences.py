@@ -22,14 +22,15 @@ import numpy as np
 from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
 from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, hs_inner, matrix_sqrt
 from .states import (
+    CounterStream,
     check_density,
     check_povm,
     check_pure_state,
     check_unitary,
     derive_seed,
-    haar_unitary,
     projective_povm,
     purification,
+    unitaries_from_ginibre,
 )
 
 SUPPORT_CUTOFF = 1e-12  # eigenvalues below this count as outside the support
@@ -405,8 +406,9 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
 
     Takes the maximum of measured_jsd over rank-1 projective measurements in
     the eigenbases of rho - sigma, rho, sigma, and (rho+sigma)/2, plus
-    `restarts` Haar-random orthonormal bases. The true supremum is at least
-    this value and never exceeds qjsd(rho, sigma).
+    `restarts` Haar-random orthonormal bases, drawn as one stack of Ginibre
+    matrices from the counter stream of key derive_seed(seed, 0x5B0B). The
+    true supremum is at least this value and never exceeds qjsd(rho, sigma).
     """
     if restarts < 1:
         raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
@@ -417,8 +419,10 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
         eigh(b).eigenvectors,
         eigh((a + b) / 2.0).eigenvectors,
     ]
-    rng = np.random.default_rng(derive_seed(seed, 0x5B0B))
-    bases.extend(haar_unitary(rng, a.shape[0]) for _ in range(restarts))
+    n = a.shape[0]
+    entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
+    z = CounterStream([derive_seed(seed, 0x5B0B)]).standard_normal(entries)[0]
+    bases.extend(unitaries_from_ginibre(z))
     return max(measured_jsd(a, b, projective_povm(u)) for u in bases)
 
 

@@ -6,15 +6,16 @@ uniform eigenvalue simplex": rho = U diag(lam) U† with U Haar on U(N) and lam
 uniform on the probability simplex. The unitary is the phase-corrected QR of
 a complex Ginibre matrix, and lam is a vector of normalized exponentials.
 
-Two sources of randomness feed the samplers. `StateSampler`, `sample_state`,
-`haar_unitary` and `simplex_point` draw from numpy Generators. The audit draws
-from a `CounterStream`: a counter-based stream in the style of Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3" (SC'11). Its variates are pure
-functions of a 64-bit key and a slot number, the splitmix64 hash
-`derive_seed(key, slot)` turned into a 53-bit uniform u in (0, 1], so any
-number of keys is drawn in a few numpy passes and a key drawn alone gives the
-same bits as inside a batch. `draw_state_params` draws one state per key, with
-this slot layout for dimension N:
+All randomness comes from one source, a `CounterStream`: a counter-based
+stream in the style of Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3" (SC'11). Its variates are pure functions of a 64-bit key and a slot
+number, the splitmix64 hash `derive_seed(key, slot)` turned into a 53-bit
+uniform u in (0, 1], so any number of keys is drawn in a few numpy passes and
+a key drawn alone gives the same bits as inside a batch. State i of
+`sample_states(dim, seed, ...)` is the state of key derive_seed(seed, i); the
+audit keys the states of its triplets the same way (see `qjsd.audit`).
+`draw_state_params` draws one state per key, with this slot layout for
+dimension N:
 
 - Ginibre entry (i, j) is the complex normal sqrt(-ln u1) exp(2 pi i u2),
   with u1 from slot 2(iN + j) and u2 from slot 2(iN + j) + 1. Slots 0 to 2N² - 1
@@ -24,12 +25,13 @@ this slot layout for dimension N:
   floor tests only the spectrum, so a rejected attempt draws no normals.
 
 Derived seeds and keys come from the same hash, so parallel work is
-reproducible triplet by triplet.
+reproducible state by state, whichever worker draws it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -75,6 +77,21 @@ def derive_seed(seed, *indices):
     for k in indices:
         x = _mix64(x ^ _mix64((k + _GOLDEN) & _MASK64))
     return x
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_groups(n_tasks: int, workers: int) -> list[range]:
+    """Split range(n_tasks) into contiguous groups, one per worker process:
+    at most `workers` groups, and no more than there are tasks or CPUs."""
+    k = max(1, min(workers, n_tasks, available_cpus()))
+    return [range(n_tasks * g // k, n_tasks * (g + 1) // k) for g in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +217,6 @@ def unitaries_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q * ph[..., None, :]
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """One Haar-random unitary drawn from rng."""
-    s = rng.standard_normal((2, dim, dim))
-    z = (s[0] + 1j * s[1]) / np.sqrt(2.0)
-    return unitaries_from_ginibre(z[None])[0]
-
-
-def simplex_point(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform point on the probability simplex (normalized exponentials)."""
-    e = rng.standard_exponential(dim)
-    return e / e.sum()
-
-
 class CounterStream:
     """Counter-based random variates over a vector of 64-bit keys.
 
@@ -291,50 +295,27 @@ def states_from_params(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (u * lam[..., None, :]) @ np.conj(np.swapaxes(u, -2, -1))
 
 
-def sample_state(rng: np.random.Generator, dim: int, mixedness_floor: float | None = None) -> np.ndarray:
-    """One random density matrix, rho = U diag(lam) U†.
+def check_sampling(dim: int, mixedness_floor: float | None = None) -> None:
+    """Reject a dimension below 2, or a mixedness floor no state can reach."""
+    if dim < 2:
+        raise InvalidConfig(f"dim must be >= 2, got {dim}")
+    # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
+    # state, so a higher floor would reject every draw until the budget ends
+    if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:
+        raise InvalidConfig(f"mixedness_floor must lie in [0, 1 - 1/{dim}), got {mixedness_floor}")
 
-    Each attempt draws the Ginibre normals, then the exponentials; a
-    mixedness floor rejects on the eigenvalues.
+
+def sample_states(dim: int, seed: int, indices, mixedness_floor: float | None = None) -> np.ndarray:
+    """The random states with the given indices, as a (len(indices), dim, dim)
+    stack; state i is drawn from the key derive_seed(seed, i).
+
+    A state has the same bits whichever other indices are drawn with it. With
+    a mixedness floor in [0, 1 - 1/dim), only states whose linear entropy
+    1 - Tr(rho^2) reaches the floor are kept, by rejection.
     """
-    for _ in range(REJECTION_BUDGET):
-        s = rng.standard_normal((2, dim, dim))
-        lam = rng.standard_exponential(dim)
-        lam /= lam.sum()
-        if mixedness_floor is None or 1.0 - float(lam @ lam) >= mixedness_floor:
-            z = (s[0] + 1j * s[1]) / np.sqrt(2.0)
-            return states_from_params(z[None], lam[None])[0]
-    raise RejectionBudgetExceeded(
-        f"mixedness_floor={mixedness_floor} rejected {REJECTION_BUDGET} consecutive draws"
-    )
-
-
-class StateSampler:
-    """Seeded stream of Haar x simplex random states of a fixed dimension.
-
-    Identical (dim, seed, call sequence) gives bit-identical outputs. An
-    optional mixedness_floor in [0, 1) keeps only states whose linear entropy
-    1 - Tr(rho^2) reaches the floor, by rejection.
-    """
-
-    def __init__(self, dim: int, seed: int, mixedness_floor: float | None = None):
-        if dim < 1:
-            raise InvalidConfig(f"dim must be >= 1, got {dim}")
-        if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0:
-            raise InvalidConfig(f"mixedness_floor must lie in [0, 1), got {mixedness_floor}")
-        self.dim = int(dim)
-        self.seed = int(seed)
-        self.mixedness_floor = mixedness_floor
-        self._rng = np.random.default_rng(self.seed)
-
-    def haar_unitary(self) -> np.ndarray:
-        return haar_unitary(self._rng, self.dim)
-
-    def simplex(self) -> np.ndarray:
-        return simplex_point(self._rng, self.dim)
-
-    def state(self) -> np.ndarray:
-        return sample_state(self._rng, self.dim, self.mixedness_floor)
+    check_sampling(dim, mixedness_floor)
+    keys = derive_seed(seed, np.asarray(indices, dtype=np.uint64).reshape(-1))
+    return states_from_params(*draw_state_params(CounterStream(keys), dim, mixedness_floor))
 
 
 # ---------------------------------------------------------------------------

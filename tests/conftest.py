@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from qjsd.states import StateSampler, haar_unitary, projective_povm, simplex_point
+from qjsd.states import projective_povm, unitaries_from_ginibre
+
+
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One Haar-random unitary drawn from rng."""
+    s = rng.standard_normal((2, dim, dim))
+    z = (s[0] + 1j * s[1]) / np.sqrt(2.0)
+    return unitaries_from_ginibre(z[None])[0]
+
+
+def simplex_point(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Uniform point on the probability simplex (normalized exponentials)."""
+    e = rng.standard_exponential(dim)
+    return e / e.sum()
 
 
 def rand_hermitian(rng, n):

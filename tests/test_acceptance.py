@@ -27,14 +27,9 @@ from qjsd.divergences import (
     schoenberg_check,
 )
 from qjsd.linalg import eigh
-from qjsd.states import (
-    StateSampler,
-    density_from_pure,
-    projective_povm,
-    simplex_point,
-)
+from qjsd.states import density_from_pure, projective_povm, sample_states
 
-from conftest import commuting_pair, rand_density, rand_pure, random_povm
+from conftest import commuting_pair, rand_density, rand_pure, random_povm, simplex_point
 from test_divergences import _bloch_circle_scan_max
 
 AUDIT_DIMS = (2, 3, 4, 5)
@@ -268,9 +263,9 @@ def test_criterion_8_purification_metric_consistency():
     }
     worst_gap, most_negative = 0.0, 0.0
     for dim in (2, 3):
-        sampler = StateSampler(dim, seed=9)
+        states = sample_states(dim, 9, np.arange(50))
         for i in range(25):
-            rho, sigma = sampler.state(), sampler.state()
+            rho, sigma = states[2 * i], states[2 * i + 1]
             cf = d_h_closed_form(rho, sigma)
             opt = d_h_by_optimization(rho, sigma, restarts=2, seed=100 + i, schedule=schedule_for[dim])
             worst_gap = max(worst_gap, abs(opt - cf))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import qjsd.anneal as anneal_mod
 import qjsd.audit as audit_mod
+import qjsd.states as states_mod
+from qjsd.anneal import AnnealSchedule, result_to_dict, run_anneal
 from qjsd.audit import (
     Histogram,
     histogram_csv,
@@ -96,6 +99,48 @@ def test_audit_worker_count_invariance():
     one = report_to_dict(run_audit(dim=2, samples=10_000, seed=13, workers=1))
     four = report_to_dict(run_audit(dim=2, samples=10_000, seed=13, workers=4))
     assert one == four
+
+
+def test_pools_are_capped_at_available_cpus(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(audit_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(anneal_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(states_mod, "available_cpus", lambda: 3)
+    audit_kw = dict(dim=2, samples=8 * 512 + 5, seed=13)
+    schedule = AnnealSchedule(steps_per_temperature=20, t_initial=0.5, t_final=1e-2, cooling_ratio=0.5)
+    anneal_kw = dict(objective="single", dim=2, schedule=schedule, seed=3, restarts=5)
+    audits = [report_to_dict(run_audit(**audit_kw, workers=5000))]
+    anneals = [result_to_dict(run_anneal(**anneal_kw, workers=5000))]
+    assert sizes == [3, 3]
+    monkeypatch.setattr(states_mod, "available_cpus", lambda: 64)
+    audits.append(report_to_dict(run_audit(**audit_kw, workers=4)))
+    anneals.append(result_to_dict(run_anneal(**anneal_kw, workers=4)))
+    assert sizes == [3, 3, 4, 4]
+    # more groups than tasks are never opened, and no split changes a result
+    audits.append(report_to_dict(run_audit(**audit_kw, workers=64)))
+    anneals.append(result_to_dict(run_anneal(**anneal_kw, workers=64)))
+    assert sizes == [3, 3, 4, 4, 9, 5]
+    audits.append(report_to_dict(run_audit(**audit_kw, workers=1)))
+    anneals.append(result_to_dict(run_anneal(**anneal_kw, workers=1)))
+    assert sizes == [3, 3, 4, 4, 9, 5]
+    assert all(a == audits[0] for a in audits)
+    assert all(a == anneals[0] for a in anneals)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

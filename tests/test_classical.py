@@ -11,7 +11,8 @@ from qjsd.divergences import (
     shannon_entropy,
 )
 from qjsd.errors import DimMismatch, Undefined
-from qjsd.states import simplex_point
+
+from conftest import simplex_point
 
 # value of -sum p log2 p at (1/4, 3/4), frozen from direct evaluation
 H_QUARTER = 0.81127812445913286

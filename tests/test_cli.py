@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qjsd.cli import main
-from qjsd.states import linear_entropy, read_state_file, write_state_file
+from qjsd.cli import SAMPLE_CHUNK, main
+from qjsd.states import linear_entropy, read_state_file, sample_states, write_state_file
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -31,6 +31,18 @@ def test_sample_honors_mixedness_floor(tmp_path):
     for i in range(200):
         rho = read_state_file(tmp_path / f"mix_{i:05d}.json")
         assert linear_entropy(rho) >= 0.45
+
+
+def test_sample_file_i_is_state_i(tmp_path):
+    # files are written a chunk of indices at a time; file i must be state i
+    # on both sides of a chunk boundary
+    n = 600
+    assert SAMPLE_CHUNK < n
+    assert main(["sample", "--dim", "3", "--samples", str(n), "--seed", "4",
+                 "--mixedness-floor", "0.5", "--out", str(tmp_path / "s")]) == 0
+    for i in range(n):
+        rho = read_state_file(tmp_path / f"s_{i:05d}.json")
+        assert np.array_equal(rho, sample_states(3, 4, [i], 0.5)[0])
 
 
 def test_audit_outputs_and_worker_invariance(tmp_path):
@@ -140,7 +152,9 @@ def test_invalid_configuration_exits_64(tmp_path, capsys):
     assert main(anneal + ANNEAL_FAST + ["--t-initial", "inf"]) == 64  # would never cool
     out = str(tmp_path / "z")
     assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "1.5", "--out", out]) == 64
+    assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "0.6", "--out", out]) == 64
     assert main(["sample", "--dim", "0", "--samples", "1", "--out", out]) == 64
+    assert main(["sample", "--dim", "1", "--samples", "1", "--out", out]) == 64
     assert main(["sample", "--dim", "2", "--samples", "-3", "--out", out]) == 64
     assert main(["purescan", "--grid-steps", "1"]) == 64
     p = tmp_path / "m.json"

@@ -24,9 +24,9 @@ from qjsd.divergences import (
     wootters_distance,
 )
 from qjsd.errors import DimMismatch, DomainError, SupportViolation
-from qjsd.states import StateSampler, density_from_pure, haar_unitary, projective_povm
+from qjsd.states import density_from_pure, projective_povm
 
-from conftest import commuting_pair, rand_density, rand_pure, random_povm
+from conftest import commuting_pair, haar_unitary, rand_density, rand_pure, random_povm
 
 # frozen reference values (direct high-precision evaluation)
 H_QUARTER = 0.81127812445913286

@@ -5,23 +5,20 @@ import pytest
 from scipy import stats
 
 import qjsd.states as states_mod
-from qjsd.errors import DimMismatch, NotUnitary, ParseError, RejectionBudgetExceeded
+from qjsd.errors import DimMismatch, InvalidConfig, NotUnitary, ParseError, RejectionBudgetExceeded
 from qjsd.states import (
     CounterStream,
-    StateSampler,
     density_from_pure,
     derive_seed,
-    haar_unitary,
     linear_entropy,
     partial_trace_second,
     purification,
     read_state_file,
-    sample_state,
-    simplex_point,
+    sample_states,
     write_state_file,
 )
 
-from conftest import rand_pure
+from conftest import haar_unitary, rand_pure
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +43,35 @@ def test_density_from_pure_is_idempotent(rng):
         assert np.vdot(rho, rho).real == pytest.approx(1.0, abs=1e-10)
 
 
+def _counter_draw(dim, n, floor=None, seed=99):
+    keys = derive_seed(seed, np.arange(n, dtype=np.uint64))
+    return states_mod.draw_state_params(CounterStream(keys), dim, floor)
+
+
+def _counter_unitaries(dim, n, seed):
+    """n Haar unitaries from the counter stream: a Ginibre stack, then QR."""
+    return states_mod.unitaries_from_ginibre(_counter_draw(dim, n, seed=seed)[0])
+
+
+def _within(samples, mean, n_se=5.0):
+    """The sample mean lies within n_se standard errors of `mean`."""
+    se = samples.std(axis=0) / np.sqrt(samples.shape[0])
+    assert np.all(np.abs(samples.mean(axis=0) - mean) <= n_se * se + 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Haar unitaries
 # ---------------------------------------------------------------------------
 
 def test_haar_unitary_is_unitary():
-    for seed in range(20):
-        u = haar_unitary(np.random.default_rng(seed), 4)
+    for u in _counter_unitaries(4, 20, seed=0):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
 
 def test_haar_determinism_seed_42():
-    a = StateSampler(3, seed=42).haar_unitary()
-    b = StateSampler(3, seed=42).haar_unitary()
+    a = _counter_unitaries(3, 1, seed=42)
+    b = _counter_unitaries(3, 1, seed=42)
     assert np.array_equal(a, b)
 
 
@@ -78,8 +90,7 @@ def _gram_schmidt_unitary(rng, n):
 def test_haar_moment_against_gram_schmidt_oracle():
     # E|U_00|^2 = 1/N for Haar; check both samplers against it
     n_samples, dim = 10_000, 2
-    rng = np.random.default_rng(7)
-    qr_mean = np.mean([abs(haar_unitary(rng, dim)[0, 0]) ** 2 for _ in range(n_samples)])
+    qr_mean = np.mean(np.abs(_counter_unitaries(dim, n_samples, seed=7)[:, 0, 0]) ** 2)
     rng2 = np.random.default_rng(8)
     gs_mean = np.mean([abs(_gram_schmidt_unitary(rng2, dim)[0, 0]) ** 2 for _ in range(n_samples)])
     assert qr_mean == pytest.approx(0.5, abs=0.02)
@@ -89,11 +100,9 @@ def test_haar_moment_against_gram_schmidt_oracle():
 def test_haar_left_invariance_statistic():
     # |(WU)_00|^2 must be distributed like |U_00|^2 for fixed W
     dim, n = 2, 8000
-    w = haar_unitary(np.random.default_rng(99), dim)
-    r1 = np.random.default_rng(1)
-    r2 = np.random.default_rng(2)
-    plain = np.array([abs(haar_unitary(r1, dim)[0, 0]) ** 2 for _ in range(n)])
-    rotated = np.array([abs((w @ haar_unitary(r2, dim))[0, 0]) ** 2 for _ in range(n)])
+    w = _counter_unitaries(dim, 1, seed=99)[0]
+    plain = np.abs(_counter_unitaries(dim, n, seed=1)[:, 0, 0]) ** 2
+    rotated = np.abs((w @ _counter_unitaries(dim, n, seed=2))[:, 0, 0]) ** 2
     assert stats.ks_2samp(plain, rotated).statistic < 0.03
 
 
@@ -102,24 +111,23 @@ def test_haar_left_invariance_statistic():
 # ---------------------------------------------------------------------------
 
 def test_simplex_degenerate():
-    assert np.array_equal(simplex_point(np.random.default_rng(0), 1), [1.0])
+    assert np.array_equal(_counter_draw(1, 5)[1], np.ones((5, 1)))
 
 
 @pytest.mark.parametrize("dim,tol", [(2, 0.01), (3, 0.01)])
 def test_simplex_uniform_means(dim, tol):
-    rng = np.random.default_rng(5)
-    pts = np.array([simplex_point(rng, dim) for _ in range(100_000)])
+    pts = _counter_draw(dim, 100_000, seed=5)[1]
     assert np.all(pts >= 0.0)
     assert np.max(np.abs(pts.sum(axis=1) - 1.0)) < 1e-12
     assert np.allclose(pts.mean(axis=0), 1.0 / dim, atol=tol)
 
 
 # ---------------------------------------------------------------------------
-# sample_state
+# sample_states
 # ---------------------------------------------------------------------------
 
 def test_sample_state_is_valid_density():
-    rho = StateSampler(2, seed=3).state()
+    rho = sample_states(2, 3, [0])[0]
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
@@ -131,15 +139,25 @@ def test_sample_state_eigenvalues_match_simplex_draw():
     assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), np.sort(lam[0]), atol=1e-10)
 
 
-def _counter_draw(dim, n, floor=None, seed=99):
-    keys = derive_seed(seed, np.arange(n, dtype=np.uint64))
-    return states_mod.draw_state_params(CounterStream(keys), dim, floor)
+def test_sample_states_state_i_has_key_derive_seed_i():
+    z, lam = states_mod.draw_state_params(CounterStream([derive_seed(5, 7)]), 3)
+    assert np.array_equal(sample_states(3, 5, [7]), states_mod.states_from_params(z, lam))
 
 
-def _within(samples, mean, n_se=5.0):
-    """The sample mean lies within n_se standard errors of `mean`."""
-    se = samples.std(axis=0) / np.sqrt(samples.shape[0])
-    assert np.all(np.abs(samples.mean(axis=0) - mean) <= n_se * se + 1e-15)
+@pytest.mark.parametrize("dim, floor", [(2, None), (2, 0.4), (3, None), (3, 0.5), (16, None), (16, 0.85)])
+def test_sample_states_subset_matches_full_range(dim, floor):
+    n = 40
+    full = sample_states(dim, 3, np.arange(n), floor)
+    subset = [n - 1, 7, 0, 22]
+    assert np.array_equal(sample_states(dim, 3, subset, floor), full[subset])
+    for i in (0, 13, n - 1):
+        assert np.array_equal(sample_states(dim, 3, [i], floor)[0], full[i])
+
+
+@pytest.mark.parametrize("dim, floor", [(1, None), (0, None), (2, -0.1), (2, 0.5), (3, 1.5)])
+def test_sample_states_checks_dim_and_floor(dim, floor):
+    with pytest.raises(InvalidConfig):
+        sample_states(dim, 0, [0], floor)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -189,44 +207,39 @@ def test_mean_purity_qubit():
     grid = np.linspace(0.0, 1.0, 100_001)
     oracle = np.trapezoid(grid**2 + (1 - grid) ** 2, grid)
     assert oracle == pytest.approx(2.0 / 3.0, abs=1e-8)
-    smp = StateSampler(2, seed=12)
-    purities = [1.0 - linear_entropy(smp.state()) for _ in range(100_000)]
+    rhos = sample_states(2, 12, np.arange(100_000))
+    purities = np.einsum("kij,kij->k", rhos, rhos.conj()).real
     assert np.mean(purities) == pytest.approx(oracle, abs=0.01)
 
 
 def test_zero_floor_matches_unfiltered_stream():
-    plain = StateSampler(3, seed=6)
-    floored = StateSampler(3, seed=6, mixedness_floor=0.0)
-    for _ in range(20):
-        assert np.array_equal(plain.state(), floored.state())
+    assert np.array_equal(sample_states(3, 6, np.arange(20)), sample_states(3, 6, np.arange(20), 0.0))
 
 
 def test_mixedness_floor_filters():
-    smp = StateSampler(2, seed=9, mixedness_floor=0.4)
-    for _ in range(200):
-        assert linear_entropy(smp.state()) >= 0.4
+    for rho in sample_states(2, 9, np.arange(200), 0.4):
+        assert linear_entropy(rho) >= 0.4
 
 
 def test_rejection_budget(monkeypatch):
-    monkeypatch.setattr(states_mod, "REJECTION_BUDGET", 500)
-    smp = StateSampler(2, seed=1, mixedness_floor=0.9999)  # qubit linear entropy tops out at 1/2
-    with pytest.raises(RejectionBudgetExceeded):
-        smp.state()
+    # qubit linear entropy tops out at 1/2, so this floor is refused before
+    # any draw instead of spending the rejection budget
+    monkeypatch.setattr(states_mod, "draw_state_params", None)
+    with pytest.raises(InvalidConfig):
+        sample_states(2, 1, [0], mixedness_floor=0.9999)
 
 
 def test_sampler_unitary_invariance_of_moments():
     # purity/third-moment statistics unchanged by a fixed rotation of the stream
     dim, n = 3, 10_000
-    w = haar_unitary(np.random.default_rng(123), dim)
-    s1, s2 = StateSampler(dim, seed=21), StateSampler(dim, seed=22)
-    m2a, m3a, m2b, m3b = [], [], [], []
-    for _ in range(n):
-        r = s1.state()
-        q = w @ s2.state() @ w.conj().T
-        m2a.append(np.vdot(r, r).real)
-        m3a.append(np.trace(r @ r @ r).real)
-        m2b.append(np.vdot(q, q).real)
-        m3b.append(np.trace(q @ q @ q).real)
+    w = _counter_unitaries(dim, 1, seed=123)[0]
+    r = sample_states(dim, 21, np.arange(n))
+    q = w @ sample_states(dim, 22, np.arange(n)) @ w.conj().T
+
+    def moments(s):
+        return np.einsum("kij,kij->k", s, s.conj()).real, np.trace(s @ s @ s, axis1=-2, axis2=-1).real
+
+    (m2a, m3a), (m2b, m3b) = moments(r), moments(q)
     assert stats.ks_2samp(m2a, m2b).statistic < 0.03
     assert stats.ks_2samp(m3a, m3b).statistic < 0.03
 
@@ -255,8 +268,7 @@ def test_purify_maximally_mixed_gives_uniform_schmidt():
 def test_purification_roundtrip(dim):
     for seed in range(100):
         rng = np.random.default_rng(40_000 + 100 * dim + seed)
-        smp = StateSampler(dim, seed=int(rng.integers(2**32)))
-        rho = smp.state()
+        rho = sample_states(dim, int(rng.integers(2**32)), [0])[0]
         v = haar_unitary(rng, dim)
         assert np.max(np.abs(partial_trace_second(purification(rho, v), dim) - rho)) < 1e-9
 
@@ -309,8 +321,7 @@ def test_derive_seed_vectorized_matches_scalar():
 
 
 def test_state_file_roundtrip(tmp_path, rng):
-    smp = StateSampler(3, seed=77)
-    rho = smp.state()
+    rho = sample_states(3, 77, [0])[0]
     path = tmp_path / "state.json"
     write_state_file(rho, path)
     again = read_state_file(path)
@@ -340,9 +351,3 @@ def test_read_state_rejects_garbage(tmp_path):
     bad.write_text("not json")
     with pytest.raises(ParseError):
         read_state_file(bad)
-
-
-def test_sample_state_function_matches_sampler():
-    direct = sample_state(np.random.default_rng(55), 3)
-    via_class = StateSampler(3, seed=55).state()
-    assert np.array_equal(direct, via_class)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -148,6 +149,7 @@ def cmd_purescan(args) -> int:
     return EXIT_OK if res.min_g >= -1e-12 else EXIT_COUNTEREXAMPLE
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qjsd",

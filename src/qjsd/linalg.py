@@ -28,20 +28,22 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries; with
+    stack=True, to a stack (..., N, N) of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or (a.ndim > 2 and not stack):
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
 
-def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry (max entrywise deviation from m†)."""
-    a = as_complex_matrix(m)
-    dev = np.max(np.abs(a - a.conj().T))
+def check_hermitian(m, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.ndarray:
+    """Validate Hermitian symmetry (max entrywise deviation from m†); with
+    stack=True, of every matrix of a stack (..., N, N)."""
+    a = as_complex_matrix(m, stack)
+    dev = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)))
     if dev > tol:
         raise NotHermitian(f"deviation from conjugate transpose is {dev:.3e} > {tol:.0e}")
     return a

@@ -124,30 +124,38 @@ def check_pure_state(psi) -> np.ndarray:
 
 
 def check_unitary(u, dim: int | None = None) -> np.ndarray:
+    """Validate a unitary, or every matrix of a stack (..., N, N) of them:
+    the max entrywise deviation of U†U from the identity is within
+    UNITARY_TOL."""
     a = np.asarray(u, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise DimMismatch(f"expected dimension {dim}, got {a.shape[0]}")
-    dev = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
+    if dim is not None and a.shape[-1] != dim:
+        raise DimMismatch(f"expected dimension {dim}, got {a.shape[-1]}")
+    dev = np.max(np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(a.shape[-1])))
     if dev > UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity is {dev:.3e}")
     return a
 
 
-def check_povm(elements) -> list[np.ndarray]:
-    """Validate a POVM: PSD Hermitian elements summing to the identity."""
+def check_povm(elements) -> np.ndarray:
+    """Validate a POVM: PSD Hermitian elements summing to the identity.
+
+    Takes a list of N x N elements or a (K, N, N) stack, or a stack
+    (..., K, N, N) of POVMs, and returns the stack as a complex array. A
+    stack with one bad POVM raises what that POVM raises alone.
+    """
     if len(elements) == 0:
         raise ValueError("POVM needs at least one element")
-    mats = [check_hermitian(e) for e in elements]
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != dim:
-            raise DimMismatch("POVM elements have mixed dimensions")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -PSD_CLAMP:
-            raise NotPositive(f"POVM element eigenvalue {w[0]:.3e}")
-    dev = np.max(np.abs(sum(mats) - np.eye(dim)))
+    if len({np.shape(e) for e in elements}) > 1:
+        raise DimMismatch("POVM elements have mixed dimensions")
+    mats = check_hermitian(elements, stack=True)
+    if mats.ndim < 3:
+        raise DimMismatch(f"expected a list of square matrices, got shape {mats.shape}")
+    w = np.linalg.eigvalsh(mats).min()
+    if w < -PSD_CLAMP:
+        raise NotPositive(f"POVM element eigenvalue {w:.3e}")
+    dev = np.max(np.abs(mats.sum(axis=-3) - np.eye(mats.shape[-1])))
     if dev > TRACE_TOL:
         raise ValueError(f"POVM elements sum to identity only within {dev:.3e}")
     return mats
@@ -169,10 +177,14 @@ def linear_entropy(rho) -> float:
     return float(1.0 - np.vdot(a, a).real)
 
 
-def projective_povm(basis) -> list[np.ndarray]:
-    """Rank-1 projective POVM from the columns of a unitary."""
+def projective_povm(basis):
+    """Rank-1 projective POVM from the columns of a unitary, as the list of
+    the N projectors. A stack (..., N, N) of unitaries gives the stack
+    (..., N, N, N) of their POVMs."""
     u = check_unitary(basis)
-    return [np.outer(u[:, k], u[:, k].conj()) for k in range(u.shape[0])]
+    v = np.swapaxes(u, -1, -2)  # v[..., k, :] is column k
+    e = v[..., :, None] * v[..., None, :].conj()
+    return list(e) if u.ndim == 2 else e
 
 
 def purification(rho, v) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qjsd.cli import SAMPLE_CHUNK, main
+from qjsd.cli import SAMPLE_CHUNK, build_parser, main
 from qjsd.states import linear_entropy, read_state_file, sample_states, write_state_file
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -112,6 +112,32 @@ def test_compare_mixed_vs_ket(tmp_path, capsys):
     table = json.loads(capsys.readouterr().out)
     assert table["qjsd"] == pytest.approx(0.31127812445913286, abs=1e-12)
     assert table["djs1_lower_bound"] <= table["qjsd"] + 1e-10
+
+
+def test_compare_accepts_states_qjsd_accepts(tmp_path, capsys):
+    # each file is within the 1e-12 Hermitian tolerance, but their difference is not
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    write_state_file(np.array([[0.6, 0.1 + 0.9e-12j], [0.1, 0.4]]), pa)
+    write_state_file(np.array([[0.5, 0.2 - 0.9e-12j], [0.2, 0.5]]), pb)
+    assert main(["compare", str(pa), str(pb)]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert 0.0 < table["djs1_lower_bound"] <= table["qjsd"]
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    # a qubit pair whose best basis is one of the default random ones, so
+    # that --restarts and --seed move djs1_lower_bound
+    for rho, path in zip(sample_states(2, 320, [0, 1]), paths):
+        write_state_file(rho, path)
+    build_parser.cache_clear()
+    assert main(["compare"] + paths) == 0
+    fresh = capsys.readouterr().out
+    assert build_parser() is build_parser()
+    assert main(["compare"] + paths + ["--restarts", "1", "--seed", "3"]) == 0
+    assert capsys.readouterr().out != fresh  # the options change the table
+    assert main(["compare"] + paths) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_compare_dim_mismatch_exits_65(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from qjsd.anneal import AnnealSchedule
 from qjsd.audit import triangle_defect
 from qjsd.divergences import (
+    _measured_jsd,
     classical_jsd,
     d_h_by_optimization,
     d_h_closed_form,
@@ -24,7 +25,14 @@ from qjsd.divergences import (
     wootters_distance,
 )
 from qjsd.errors import DimMismatch, DomainError, SupportViolation
-from qjsd.states import density_from_pure, projective_povm
+from qjsd.states import (
+    CounterStream,
+    check_povm,
+    density_from_pure,
+    derive_seed,
+    projective_povm,
+    unitaries_from_ginibre,
+)
 
 from conftest import commuting_pair, haar_unitary, rand_density, rand_pure, random_povm
 
@@ -352,6 +360,53 @@ def test_djs1_commuting_reaches_qjsd():
     for _ in range(10):
         rho, sigma, *_ = commuting_pair(rng, 3)
         assert djs1_lower_bound(rho, sigma, restarts=2) == pytest.approx(qjsd(rho, sigma), abs=1e-10)
+
+
+def _djs1_bases(a, b, restarts, seed):
+    """The bases djs1_lower_bound searches, built one at a time."""
+    n = a.shape[0]
+    bases = [np.linalg.eigh(m)[1] for m in (a - b, a, b, (a + b) / 2.0)]
+    entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
+    z = CounterStream([derive_seed(seed, 0x5B0B)]).standard_normal(entries)[0]
+    return bases + list(unitaries_from_ginibre(z))
+
+
+def _djs1_pairs(seed):
+    """Four state pairs per dimension 2 to 8; the first of each is pure."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 9):
+        yield density_from_pure(rand_pure(rng, n)), density_from_pure(rand_pure(rng, n))
+        for _ in range(3):
+            yield rand_density(rng, n), rand_density(rng, n)
+
+
+def test_measured_jsd_stack_matches_each_basis_alone():
+    for i, (a, b) in enumerate(_djs1_pairs(41)):
+        bases = _djs1_bases(a, b, restarts=8, seed=i)
+        stacked = _measured_jsd(a, b, check_povm(projective_povm(np.array(bases))))
+        alone = [measured_jsd(a, b, projective_povm(u)) for u in bases]
+        assert stacked.tolist() == alone
+
+
+def test_djs1_is_the_best_basis_of_an_independent_loop():
+    # classical_jsd of the diagonals of U†rho U and U†sigma U rounds
+    # differently from the kernel's contraction; both sit within a few ulps
+    # of 1 of the exact value
+    for i, (a, b) in enumerate(_djs1_pairs(42)):
+        best = max(
+            classical_jsd(np.diag(u.conj().T @ a @ u).real, np.diag(u.conj().T @ b @ u).real)
+            for u in _djs1_bases(a, b, restarts=6, seed=i)
+        )
+        assert abs(djs1_lower_bound(a, b, restarts=6, seed=i) - best) <= 8 * np.finfo(np.float64).eps
+
+
+def test_djs1_accepts_states_qjsd_accepts():
+    # each input is within the 1e-12 Hermitian tolerance, but a - b is not
+    a = np.array([[0.6, 0.1 + 0.9e-12j], [0.1, 0.4]])
+    b = np.array([[0.5, 0.2 - 0.9e-12j], [0.2, 0.5]])
+    full = qjsd(a, b)
+    assert full == pytest.approx(0.01522, abs=1e-5)
+    assert 0.0 < djs1_lower_bound(a, b, restarts=2) <= full
 
 
 def _bloch_circle_scan_max(rho, sigma, step=1e-3):

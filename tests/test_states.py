@@ -5,13 +5,24 @@ import pytest
 from scipy import stats
 
 import qjsd.states as states_mod
-from qjsd.errors import DimMismatch, InvalidConfig, NotUnitary, ParseError, RejectionBudgetExceeded
+from qjsd.errors import (
+    DimMismatch,
+    InvalidConfig,
+    NotHermitian,
+    NotPositive,
+    NotUnitary,
+    ParseError,
+    RejectionBudgetExceeded,
+)
 from qjsd.states import (
     CounterStream,
+    check_povm,
+    check_unitary,
     density_from_pure,
     derive_seed,
     linear_entropy,
     partial_trace_second,
+    projective_povm,
     purification,
     read_state_file,
     sample_states,
@@ -276,6 +287,65 @@ def test_purification_roundtrip(dim):
 def test_purification_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         purification(np.eye(2) / 2.0, np.diag([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# Stacks of unitaries and POVMs
+# ---------------------------------------------------------------------------
+
+def _raised_alone_and_stacked(check, stack, bad, error):
+    """The message `check` raises for stack[bad] alone, after checking that
+    the whole stack raises the same error with the same message."""
+    with pytest.raises(error) as alone:
+        check(stack[bad])
+    with pytest.raises(error) as stacked:
+        check(stack)
+    assert str(stacked.value) == str(alone.value)
+    return str(alone.value)
+
+
+def test_check_unitary_stack_fails_with_its_bad_member():
+    stack = _counter_unitaries(3, 5, seed=8)
+    assert np.array_equal(check_unitary(stack), stack)
+    stack[2] *= 1.01
+    assert "unitarity" in _raised_alone_and_stacked(check_unitary, stack, 2, NotUnitary)
+
+
+def _skew(e):
+    e[0, 0, 1] += 1e-9
+
+
+def _negative(e):
+    # E0 - d P1 has the eigenvalue -d, and E1 + d P1 keeps the sum at 1
+    shift = 1e-9 * e[1]
+    e[0] -= shift
+    e[1] += shift
+
+
+def _unnormalized(e):
+    e *= 1.001
+
+
+@pytest.mark.parametrize("corrupt, error", [(_skew, NotHermitian), (_negative, NotPositive), (_unnormalized, ValueError)])
+def test_check_povm_stack_fails_with_its_bad_member(corrupt, error):
+    povms = projective_povm(_counter_unitaries(3, 5, seed=9))
+    assert povms.shape == (5, 3, 3, 3)
+    assert np.array_equal(check_povm(povms), povms)
+    corrupt(povms[2])
+    _raised_alone_and_stacked(check_povm, povms, 2, error)
+    with pytest.raises(error):
+        check_povm(list(povms[2]))
+
+
+def test_check_povm_mixed_dimensions():
+    elements = projective_povm(_counter_unitaries(3, 1, seed=10)[0])
+    assert isinstance(elements, list) and len(elements) == 3
+    with pytest.raises(DimMismatch):
+        check_povm(elements[:2] + [np.eye(2)])
+    povms = list(projective_povm(_counter_unitaries(3, 4, seed=10)))
+    povms[2] = projective_povm(_counter_unitaries(2, 1, seed=10))[0]
+    with pytest.raises(DimMismatch):
+        check_povm(povms)
 
 
 def test_partial_trace_product_state(rng):

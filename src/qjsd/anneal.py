@@ -13,8 +13,7 @@ inequality and is surfaced loudly by the CLI, never clipped.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
-from .states import check_sampling, derive_seed, state_to_dict, worker_groups
+from .states import check_sampling, derive_seed, map_groups, state_to_dict
 
 _TRACE_FLOOR = 1e-30
 
@@ -196,26 +195,17 @@ def minimize(
 
     The schedule defaults to AnnealSchedule.defaults_for(n_params). Each
     restart owns a derived RNG stream and ties keep the earliest restart, so
-    the result does not depend on `workers`. With workers > 1 the restarts
-    are split into that many groups, at most one per restart and per CPU,
-    that run in a process pool, and
-    `objective` and `canonicalize` must then be picklable: top-level
-    functions or functools.partial of them, not lambdas or closures.
+    the result does not depend on `workers`. The restarts are split into
+    groups by states.map_groups, whose picklability rule then applies to
+    `objective` and `canonicalize`.
     """
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
     schedule.validate()
     if restarts < 1:
         raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
-    if workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     chains = partial(_chains, objective, n_params, schedule, seed, canonicalize)
-    groups = worker_groups(restarts, workers)
-    if len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            outcomes = [o for part in pool.map(chains, groups) for o in part]
-    else:
-        outcomes = chains(range(restarts))
+    outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals
     return best_f, best_x, [trace for _, _, trace in outcomes]
 
@@ -279,19 +269,12 @@ def run_anneal(
 
 
 def result_to_dict(result: AnnealResult) -> dict:
-    sched = result.schedule
     return {
         "best_objective": result.best_objective,
         "seed": result.seed,
         "dim": result.dim,
         "objective": result.objective,
-        "schedule": {
-            "t_initial": sched.t_initial,
-            "t_final": sched.t_final,
-            "cooling_ratio": sched.cooling_ratio,
-            "steps_per_temperature": sched.steps_per_temperature,
-            "proposal_scale_ratio": sched.proposal_scale_ratio,
-        },
+        "schedule": asdict(result.schedule),
         "decoded_states": [state_to_dict(s) for s in result.decoded_states],
         "objective_trace": result.objective_trace,
     }

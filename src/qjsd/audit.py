@@ -19,22 +19,21 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides, qjsd_sqrt
-from .errors import DimMismatch, EdgeMismatch, InvalidConfig
+from .errors import EdgeMismatch, InvalidConfig
 from .states import (
     CounterStream,
     check_sampling,
     derive_seed,
     draw_state_params,
+    map_groups,
     states_from_params,
-    worker_groups,
 )
 
 log = logging.getLogger("qjsd.audit")
@@ -51,9 +50,6 @@ def triangle_defect(rho, xi, sigma) -> float:
     The middle argument is the pivot. Nonnegative everywhere if the triangle
     inequality holds; the audit hunts for counterexamples.
     """
-    a = np.asarray(rho)
-    if a.shape != np.asarray(xi).shape or a.shape != np.asarray(sigma).shape:
-        raise DimMismatch("triplet states must share one dimension")
     return qjsd_sqrt(rho, xi) + qjsd_sqrt(xi, sigma) - qjsd_sqrt(rho, sigma)
 
 
@@ -141,10 +137,13 @@ def _draw_triplets(seeds: np.ndarray, dim: int, floor: float | None):
     return rhos.reshape(-1, 3, dim, dim), lam.reshape(-1, 3, dim)
 
 
-def _shard(args) -> tuple[Histogram, int, int, list[TriangleSample]]:
-    """Audit triplet indices [start, stop); returns the histogram, the
-    violation and noise counts, and the smallest defects."""
-    dim, seed, floor, start, stop, edges, tolerance = args
+def _shard(
+    dim, seed, floor, samples, edges, tolerance, chunks: range
+) -> tuple[Histogram, int, int, list[TriangleSample]]:
+    """Audit the triplets of the given chunks, _CHUNK triplet indices each and
+    none past `samples`; returns the histogram, the violation and noise
+    counts, and the smallest defects."""
+    start, stop = chunks.start * _CHUNK, min(chunks.stop * _CHUNK, samples)
     nbins = edges.size - 1
     counts = np.zeros(nbins, dtype=np.int64)
     underflow = overflow = violations = noise = 0
@@ -194,23 +193,12 @@ def run_audit(
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
     if not 0.0 <= tolerance < math.inf:
         raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
-    if workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     edges = histogram_edges(bin_width, tail_max)
 
-    # shard boundaries sit on chunk multiples so batch compositions, and hence
-    # every floating-point result, match the single-worker run exactly
-    groups = worker_groups((samples + _CHUNK - 1) // _CHUNK, workers)
-    shards = [
-        (dim, seed, mixedness_floor, g.start * _CHUNK, min(g.stop * _CHUNK, samples), edges, tolerance)
-        for g in groups
-    ]
-
-    if len(shards) > 1:
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            parts = list(pool.map(_shard, shards))
-    else:
-        parts = [_shard(s) for s in shards]
+    # shards are split by whole chunks so batch compositions, and hence every
+    # floating-point result, match the single-worker run exactly
+    shard = partial(_shard, dim, seed, mixedness_floor, samples, edges, tolerance)
+    parts = map_groups(shard, (samples + _CHUNK - 1) // _CHUNK, workers)
     hists, violations, noise, tops = zip(*parts)
     violations, noise = sum(violations), sum(noise)
 

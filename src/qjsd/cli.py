@@ -96,8 +96,6 @@ def cmd_anneal(args) -> int:
 def cmd_compare(args) -> int:
     rho = read_state_file(args.state_a)
     sigma = read_state_file(args.state_b)
-    if rho.shape != sigma.shape:
-        raise DimMismatch(f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ")
     q = div.qjsd(rho, sigma)
     f = div.fidelity(rho, sigma)
     table = {

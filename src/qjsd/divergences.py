@@ -372,10 +372,7 @@ def wootters_distance(psi, phi) -> float:
 
 def hilbert_schmidt_distance(a, b) -> float:
     """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two operators."""
-    x = check_hermitian(a)
-    y = check_hermitian(b)
-    if x.shape != y.shape:
-        raise DimMismatch(f"shapes {x.shape} and {y.shape} differ")
+    x, y = _two_states(a, b)
     d = x - y
     return float(np.sqrt(max(hs_inner(d, d).real, 0.0)))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -44,10 +45,10 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .linalg import (
-    HERMITIAN_TOL,
     PSD_CLAMP,
     TRACE_TOL,
     UNITARY_TOL,
+    as_complex_matrix,
     check_hermitian,
     clamped_spectrum,
     eigh,
@@ -87,11 +88,24 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_groups(n_tasks: int, workers: int) -> list[range]:
-    """Split range(n_tasks) into contiguous groups, one per worker process:
-    at most `workers` groups, and no more than there are tasks or CPUs."""
+def map_groups(fn, n_tasks: int, workers: int) -> list:
+    """Split range(n_tasks) into contiguous groups and return
+    [fn(group) for group in groups].
+
+    There are at most `workers` groups, and no more than there are tasks or
+    CPUs. One group runs in this process; more run in a process pool, one
+    process per group, and `fn` must then be picklable: a top-level function
+    or a functools.partial of one, binding only picklable values, not a
+    lambda or a closure.
+    """
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     k = max(1, min(workers, n_tasks, available_cpus()))
-    return [range(n_tasks * g // k, n_tasks * (g + 1) // k) for g in range(k)]
+    groups = [range(n_tasks * g // k, n_tasks * (g + 1) // k) for g in range(k)]
+    if k == 1:
+        return [fn(groups[0])]
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        return list(pool.map(fn, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +118,7 @@ def check_density(rho) -> np.ndarray:
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_TOL:.0e}")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -PSD_CLAMP:
-        raise NotPositive(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
+    clamped_spectrum(np.linalg.eigvalsh(a))  # raises NotPositive below -PSD_CLAMP
     return a
 
 
@@ -127,9 +139,7 @@ def check_unitary(u, dim: int | None = None) -> np.ndarray:
     """Validate a unitary, or every matrix of a stack (..., N, N) of them:
     the max entrywise deviation of U†U from the identity is within
     UNITARY_TOL."""
-    a = np.asarray(u, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+    a = as_complex_matrix(u, stack=True)
     if dim is not None and a.shape[-1] != dim:
         raise DimMismatch(f"expected dimension {dim}, got {a.shape[-1]}")
     dev = np.max(np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(a.shape[-1])))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qjsd.states as states_mod
 from qjsd.states import projective_povm, unitaries_from_ginibre
 
 
@@ -57,3 +58,26 @@ def random_povm(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool states.map_groups opens; a stand-in pool
+    maps in this process, so no process is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(states_mod, "ProcessPoolExecutor", SerialPool)
+    return sizes

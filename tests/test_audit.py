@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import qjsd.anneal as anneal_mod
 import qjsd.audit as audit_mod
 import qjsd.states as states_mod
 from qjsd.anneal import AnnealSchedule, result_to_dict, run_anneal
@@ -15,7 +14,7 @@ from qjsd.audit import (
     run_audit,
     triangle_defect,
 )
-from qjsd.errors import EdgeMismatch, InvalidConfig
+from qjsd.errors import DimMismatch, EdgeMismatch, InvalidConfig
 from qjsd.states import derive_seed
 
 from conftest import rand_density
@@ -36,6 +35,14 @@ def test_defect_pivot_equals_endpoint_is_exactly_zero(rng):
 
 def test_defect_qubit_oracle_value():
     assert triangle_defect(KET0, MIXED, KET1) == pytest.approx(QUBIT_DEFECT, abs=1e-13)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_defect_rejects_a_state_of_another_dimension(position):
+    triplet = [KET0, MIXED, KET1]
+    triplet[position] = np.eye(3, dtype=complex) / 3.0
+    with pytest.raises(DimMismatch):
+        triangle_defect(*triplet)
 
 
 def test_histogram_edges_tile_range():
@@ -101,26 +108,8 @@ def test_audit_worker_count_invariance():
     assert one == four
 
 
-def test_pools_are_capped_at_available_cpus(monkeypatch):
-    # a stand-in pool records its size and maps in this process, so no
-    # process is started
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(audit_mod, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(anneal_mod, "ProcessPoolExecutor", SerialPool)
+def test_pools_are_capped_at_available_cpus(monkeypatch, pool_sizes):
+    sizes = pool_sizes  # max_workers of each pool opened; none starts a process
     monkeypatch.setattr(states_mod, "available_cpus", lambda: 3)
     audit_kw = dict(dim=2, samples=8 * 512 + 5, seed=13)
     schedule = AnnealSchedule(steps_per_temperature=20, t_initial=0.5, t_final=1e-2, cooling_ratio=0.5)

@@ -21,6 +21,7 @@ from qjsd.states import (
     density_from_pure,
     derive_seed,
     linear_entropy,
+    map_groups,
     partial_trace_second,
     projective_povm,
     purification,
@@ -289,6 +290,12 @@ def test_purification_rejects_non_unitary():
         purification(np.eye(2) / 2.0, np.diag([1.0, 2.0]))
 
 
+def test_purification_rejects_non_finite_unitary():
+    # a NaN matrix used to pass check_unitary and purify to an all-NaN vector
+    with pytest.raises(ValueError, match="non-finite"):
+        purification(np.eye(2) / 2.0, np.full((2, 2), np.nan))
+
+
 # ---------------------------------------------------------------------------
 # Stacks of unitaries and POVMs
 # ---------------------------------------------------------------------------
@@ -309,6 +316,13 @@ def test_check_unitary_stack_fails_with_its_bad_member():
     assert np.array_equal(check_unitary(stack), stack)
     stack[2] *= 1.01
     assert "unitarity" in _raised_alone_and_stacked(check_unitary, stack, 2, NotUnitary)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_unitary_stack_fails_with_its_non_finite_member(bad):
+    stack = _counter_unitaries(3, 5, seed=8)
+    stack[1, 0, 2] = bad
+    assert "non-finite" in _raised_alone_and_stacked(check_unitary, stack, 1, ValueError)
 
 
 def _skew(e):
@@ -362,6 +376,33 @@ def test_partial_trace_bell_state():
 def test_partial_trace_dim_mismatch(rng):
     with pytest.raises(DimMismatch):
         partial_trace_second(rand_pure(rng, 6), 4)
+
+
+# ---------------------------------------------------------------------------
+# Worker groups
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n_tasks, workers, cpus",
+    [(10, 3, 8), (10, 8, 3), (2, 5, 8), (7, 7, 64), (1000, 4, 4), (5, 1, 8), (1, 4, 4), (9, 4, 1)],
+)
+def test_map_groups_splits_contiguously(monkeypatch, pool_sizes, n_tasks, workers, cpus):
+    monkeypatch.setattr(states_mod, "available_cpus", lambda: cpus)
+    groups = map_groups(lambda g: g, n_tasks, workers)
+    k = min(workers, n_tasks, cpus)
+    assert len(groups) == k
+    assert all(isinstance(g, range) and g.step == 1 for g in groups)
+    assert [i for g in groups for i in g] == list(range(n_tasks))
+    assert max(map(len, groups)) - min(map(len, groups)) <= 1
+    # one group runs in this process, more in one pool of one process per group
+    assert pool_sizes == ([k] if k > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_map_groups_rejects_fewer_than_one_worker(pool_sizes, workers):
+    with pytest.raises(InvalidConfig, match="workers"):
+        map_groups(list, 4, workers)
+    assert pool_sizes == []
 
 
 # ---------------------------------------------------------------------------

@@ -218,10 +218,10 @@ class AnnealResult:
     best_params: np.ndarray
     decoded_states: list[np.ndarray]
     objective_trace: list[list[float]] = field(repr=False)
+    schedule: AnnealSchedule  # required: the result file records it
     seed: int = 0
     dim: int = 2
     objective: str = "single"
-    schedule: AnnealSchedule | None = None
 
 
 def run_anneal(

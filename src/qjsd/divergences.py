@@ -26,8 +26,8 @@ from .states import (
     check_density,
     check_povm,
     check_pure_state,
+    check_unitary,
     derive_seed,
-    projective_povm,
     purification,
     unitaries_from_ginibre,
 )
@@ -381,6 +381,14 @@ def hilbert_schmidt_distance(a, b) -> float:
 # Measurements
 # ---------------------------------------------------------------------------
 
+def _jsd_of_outcomes(p: np.ndarray):
+    """JSD of the outcome laws p[..., 0, :] and p[..., 1, :] of a measurement
+    on two states, with round-off negatives clamped to 0 and renormalized."""
+    p = np.maximum(p, 0.0)
+    p /= p.sum(axis=-1, keepdims=True)
+    return _jsd_from_probs(p[..., 0, :], p[..., 1, :])
+
+
 def _measured_jsd(a: np.ndarray, b: np.ndarray, elements: np.ndarray):
     """Classical JSD of the outcome laws of POVMs on two states, no checks.
 
@@ -389,9 +397,7 @@ def _measured_jsd(a: np.ndarray, b: np.ndarray, elements: np.ndarray):
     contraction, and every JSD from one entropy call, so a POVM gets the same
     bits whichever other POVMs share its stack.
     """
-    p = np.maximum(np.einsum("...kij,sij->...sk", elements.conj(), np.stack([a, b])).real, 0.0)
-    p /= p.sum(axis=-1, keepdims=True)
-    return _jsd_from_probs(p[..., 0, :], p[..., 1, :])
+    return _jsd_of_outcomes(np.einsum("...kij,sij->...sk", elements.conj(), np.stack([a, b])).real)
 
 
 def measured_jsd(rho, sigma, povm) -> float:
@@ -400,7 +406,8 @@ def measured_jsd(rho, sigma, povm) -> float:
     p_i = Tr(E_i rho), q_i = Tr(E_i sigma). Never exceeds qjsd(rho, sigma);
     equality holds when the states commute and the POVM measures their common
     eigenbasis. The states are validated as Hermitian and the POVM with
-    check_povm; the value comes from the same kernel as djs1_lower_bound.
+    check_povm. A projective POVM gets what djs1_lower_bound gives for its
+    basis to a few ulps; djs1_lower_bound contracts over basis columns.
     """
     a, b = _two_states(rho, sigma)
     elements = check_povm(povm)
@@ -422,9 +429,11 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     the four derived operators are eigendecomposed as one stack without a
     second check, since a - b may deviate from Hermitian by twice the
     tolerance of its inputs. All 4 + restarts bases are checked as one stack
-    of unitaries, their projectors as one stack of POVMs, and every measured
-    JSD comes from one pass of the kernel measured_jsd uses; the value of
-    each basis is what measured_jsd gives for it alone.
+    of unitaries. Outcome k of basis U has probability Re (U† x U)_kk, read
+    for every basis and both states from one O(N³) contraction over the
+    stack; no projector is built. That needs no PSD check: the projectors of
+    a basis that passes check_unitary are PSD, and their outcome laws sum to
+    1 up to round-off.
     """
     if restarts < 1:
         raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
@@ -436,8 +445,9 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     n = a.shape[0]
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
     z = CounterStream([derive_seed(seed, 0x5B0B)]).standard_normal(entries)[0]
-    povms = check_povm(projective_povm(np.concatenate([eigenbases, unitaries_from_ginibre(z)])))
-    return float(np.max(_measured_jsd(a, b, povms)))
+    u = check_unitary(np.concatenate([eigenbases, unitaries_from_ginibre(z)]))[:, None]
+    # p[basis, state, k] = sum_i conj(u_ik) (x u)_ik = (u† x u)_kk
+    return float(np.max(_jsd_of_outcomes((u.conj() * (np.stack([a, b]) @ u)).sum(axis=-2).real)))
 
 
 # ---------------------------------------------------------------------------

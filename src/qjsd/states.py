@@ -361,17 +361,18 @@ def write_state_file(rho, path) -> None:
 
 
 def state_from_dict(obj) -> np.ndarray:
+    """The density matrix of a state object, read in one numpy pass as a
+    float64 (N, N, 2) array viewed as complex128; ParseError if malformed."""
     try:
         dim = int(obj["dim"])
-        mat = obj["matrix"]
-        a = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in mat],
-            dtype=np.complex128,
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        m = np.array(obj["matrix"])  # a ragged matrix raises ValueError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ParseError(f"malformed state object: {exc}") from exc
-    if a.shape != (dim, dim):
-        raise ParseError(f"matrix shape {a.shape} does not match dim {dim}")
+    if m.dtype.kind not in "biuf":  # astype would parse the string "1.0"
+        raise ParseError(f"matrix entries are not all numbers (numpy dtype {m.dtype})")
+    if m.shape != (dim, dim, 2):
+        raise ParseError(f"matrix shape {m.shape} does not match dim {dim} with [re, im] entries")
+    a = m.astype(np.float64, copy=False).view(np.complex128)[..., 0]
     try:
         return check_density(a)
     except Exception as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qjsd.anneal import (
+    AnnealResult,
     AnnealSchedule,
     _chains,
     _normalize_blocks,
@@ -17,6 +18,7 @@ from qjsd.anneal import (
 from qjsd.audit import triangle_defect
 from qjsd.errors import DegenerateBlock, InvalidConfig
 from qjsd.linalg import matrix_sqrt
+from qjsd.states import state_to_dict
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -211,3 +213,23 @@ def test_result_dict_shape():
     assert len(d["decoded_states"]) == 3
     assert d["decoded_states"][0]["dim"] == 2
     assert len(d["objective_trace"]) == 1
+
+
+def test_result_needs_a_schedule():
+    with pytest.raises(TypeError, match="schedule"):
+        AnnealResult(0.0, np.zeros(24), [], [[0.0]])
+    # the file layout: the fields in this order, the schedule as its five fields
+    res = run_anneal("single", 2, schedule=_FAST, seed=3, restarts=2)
+    layout = {
+        "best_objective": res.best_objective,
+        "seed": 3,
+        "dim": 2,
+        "objective": "single",
+        "schedule": {
+            "steps_per_temperature": 200, "t_initial": 0.5, "t_final": 0.01,
+            "cooling_ratio": 0.7, "proposal_scale_ratio": 1.0,
+        },
+        "decoded_states": [state_to_dict(s) for s in res.decoded_states],
+        "objective_trace": res.objective_trace,
+    }
+    assert json.dumps(result_to_dict(res)) == json.dumps(layout)

@@ -149,10 +149,16 @@ def test_compare_dim_mismatch_exits_65(tmp_path, capsys):
 
 def test_compare_malformed_file_exits_65(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
     good = tmp_path / "good.json"
     write_state_file(MIXED, good)
-    assert main(["compare", str(bad), str(good)]) == 65
+    for text in [
+        "{}",
+        '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]}',
+        '{"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim": 3, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+    ]:
+        bad.write_text(text)
+        assert main(["compare", str(bad), str(good)]) == 65
 
 
 def test_purescan_exit_and_payload(capsys):

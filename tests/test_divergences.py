@@ -389,15 +389,36 @@ def test_measured_jsd_stack_matches_each_basis_alone():
 
 
 def test_djs1_is_the_best_basis_of_an_independent_loop():
-    # classical_jsd of the diagonals of U†rho U and U†sigma U rounds
-    # differently from the kernel's contraction; both sit within a few ulps
-    # of 1 of the exact value
+    # classical_jsd of the diagonals of U†rho U and U†sigma U, and
+    # measured_jsd of the basis's projectors, each round differently from
+    # djs1_lower_bound's contraction; all sit within a few ulps of 1 of the
+    # exact value
+    tol = 8 * np.finfo(np.float64).eps
     for i, (a, b) in enumerate(_djs1_pairs(42)):
+        bases = _djs1_bases(a, b, restarts=6, seed=i)
+        got = djs1_lower_bound(a, b, restarts=6, seed=i)
         best = max(
-            classical_jsd(np.diag(u.conj().T @ a @ u).real, np.diag(u.conj().T @ b @ u).real)
-            for u in _djs1_bases(a, b, restarts=6, seed=i)
+            classical_jsd(np.diag(u.conj().T @ a @ u).real, np.diag(u.conj().T @ b @ u).real) for u in bases
         )
-        assert abs(djs1_lower_bound(a, b, restarts=6, seed=i) - best) <= 8 * np.finfo(np.float64).eps
+        assert abs(got - best) <= tol
+        assert abs(got - max(measured_jsd(a, b, projective_povm(u)) for u in bases)) <= tol
+
+
+def test_djs1_eigensolves_only_the_four_derived_operators(monkeypatch):
+    # the bases are checked as unitaries, so no projector is eigensolved
+    rng = np.random.default_rng(43)
+    pairs = [(rand_density(rng, n), rand_density(rng, n)) for n in (2, 5, 8)]
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for a, b in pairs:
+        calls.clear()
+        djs1_lower_bound(a, b, restarts=3)
+        assert calls == [("eigh", (4,) + a.shape)]
 
 
 def test_djs1_accepts_states_qjsd_accepts():

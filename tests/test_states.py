@@ -453,12 +453,26 @@ def test_state_file_17_digits(tmp_path):
 
 def test_read_state_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 2, "matrix": [[[1, 0]]]}')
-    with pytest.raises(ParseError):
-        read_state_file(bad)
-    bad.write_text('{"dim": 2, "matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.3, 0]]]}')
-    with pytest.raises(ParseError):  # trace 1.2
-        read_state_file(bad)
-    bad.write_text("not json")
-    with pytest.raises(ParseError):
-        read_state_file(bad)
+    half = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
+    for text in [
+        '{"dim": 2, "matrix": [[[1, 0]]]}',
+        '{"dim": 2, "matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.3, 0]]]}',  # trace 1.2
+        "not json",
+        '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]}',  # ragged row
+        '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5]]]}',  # ragged entry
+        '{"dim": 2, "matrix": [[[0.5, 0, 0], [0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]]}',  # three numbers
+        '{"dim": 2, "matrix": [[0.5, 0], [0, 0.5]]}',  # bare reals
+        '{"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}',  # a string numpy would parse
+        '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, null]]]}',
+        '{"dim": 2, "matrix": "[[[0.5, 0]]]"}',
+        '{"dim": 3, "matrix": ' + half + "}",  # dim mismatch
+        '{"dim": "two", "matrix": ' + half + "}",
+        '{"dim": 1e999, "matrix": ' + half + "}",
+        '{"matrix": ' + half + "}",
+        "[" + half + "]",
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ParseError):
+            read_state_file(bad)
+    bad.write_text('{"dim": 2, "matrix": ' + half + "}")
+    assert np.array_equal(read_state_file(bad), np.eye(2) / 2.0)

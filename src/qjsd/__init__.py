@@ -43,7 +43,7 @@ from .divergences import (
     von_neumann_entropy,
     wootters_distance,
 )
-from .linalg import EigenDecomposition, eigh, hs_inner, matrix_sqrt
+from .linalg import eigh, hs_inner, matrix_sqrt
 from .states import (
     density_from_pure,
     derive_seed,

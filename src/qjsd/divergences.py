@@ -13,14 +13,15 @@ this package exists to compute and stress-test.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, InvalidConfig, NonConvergence, SupportViolation, Undefined
-from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, hs_inner, matrix_sqrt
+from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
+from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, hs_inner, sqrt_from_eigh
 from .states import (
     CounterStream,
     check_density,
@@ -154,12 +155,44 @@ def schoenberg_check(coefficients, distributions) -> float:
 # Quantum states
 # ---------------------------------------------------------------------------
 
-def _two_states(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    a = check_hermitian(rho)
-    b = check_hermitian(sigma)
+def _two_states(rho, sigma, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    a = check_hermitian(rho, stack=stack)
+    b = check_hermitian(sigma, stack=stack)
     if a.shape != b.shape:
-        raise DimMismatch(f"state dimensions {a.shape[0]} and {b.shape[0]} differ")
+        raise DimMismatch(f"state shapes {a.shape} and {b.shape} differ")
     return a, b
+
+
+def _pair_key(rho, sigma) -> tuple:
+    """The cache key of a state pair: shape and bytes of each input as complex128."""
+    a = np.asarray(rho, dtype=np.complex128)
+    b = np.asarray(sigma, dtype=np.complex128)
+    return a.shape, a.tobytes(), b.shape, b.tobytes()
+
+
+@functools.lru_cache(maxsize=1)
+def _checked_pair(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of a _pair_key, validated by _two_states, as read-only arrays."""
+    return _two_states(
+        np.frombuffer(bytes_a, np.complex128).reshape(shape_a),
+        np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_eigh(*key) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, w, v) for the pair of a _pair_key: the validated pair and the
+    read-only eigensystem of the stack [a - b, a, b, (a + b)/2].
+
+    fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
+    here, so one compare of a pair solves the stack once. The stack is not
+    checked again, since a - b may deviate from Hermitian by twice the
+    tolerance of its inputs.
+    """
+    a, b = _checked_pair(*key)
+    w, v = eigh(np.stack([a - b, a, b, (a + b) / 2.0]), validate=False)
+    w.flags.writeable = v.flags.writeable = False
+    return a, b, w, v
 
 
 def von_neumann_entropy(rho) -> float:
@@ -224,14 +257,21 @@ def qjsd_sides(states, spectra=None) -> np.ndarray:
     return np.maximum(h[..., -n:] - 0.5 * (h_state[..., :n] + h_state.take(partner, axis=-1)), 0.0)
 
 
-def qjsd(rho, sigma) -> float:
+def qjsd(rho, sigma):
     """Quantum Jensen-Shannon divergence, in bits.
 
     H((rho+sigma)/2) - H(rho)/2 - H(sigma)/2; symmetric, always defined,
     bounded by 1, and zero exactly when the states coincide.
+
+    Takes two states, or two stacks (..., N, N) of one shape, and gives one
+    divergence per pair: a float for one pair, an array of shape (...) for a
+    stack. Each argument is checked as Hermitian once, and all pairs go
+    through one qjsd_sides call, so a pair gets the same bits in a stack as
+    alone.
     """
-    a, b = _two_states(rho, sigma)
-    return float(qjsd_sides(np.array([a, b]))[0])
+    a, b = _two_states(rho, sigma, stack=True)
+    out = qjsd_sides(np.stack([a, b], axis=-3))[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def qjsd_via_relative_entropy(rho, sigma) -> float:
@@ -255,15 +295,19 @@ def qjsd_spectral(rho, sigma) -> float:
             + sum_{k,j} |<t_k|s_j>|^2 s_j log2(2 s_j / tau_k) ],
 
     where tau_k = sum_i r_i |<t_k|r_i>|^2 + sum_j s_j |<t_k|s_j>|^2. Terms
-    with r_i = 0 or s_j = 0 contribute nothing. Agrees with qjsd to 1e-9;
-    the two routes share no intermediate values beyond the inputs.
+    with r_i = 0 or s_j = 0 contribute nothing.
+
+    The eigensystems are those of the stack [a - b, a, b, (a + b)/2] that
+    fidelity and djs1_lower_bound share; the |t_k> are the eigenvectors of
+    (a + b)/2, which are those of a + b (tau_k is built from the overlaps,
+    not from the eigenvalues). qjsd solves nothing from that stack, so this
+    route agrees with qjsd to 1e-9 and shares no intermediate values with it
+    beyond the inputs.
     """
-    a, b = _two_states(rho, sigma)
-    rw, rv = eigh(a)
-    sw, sv = eigh(b)
-    tw, tv = eigh(a + b)
-    rw = clamped_spectrum(rw)
-    sw = clamped_spectrum(sw)
+    _, _, w, v = _pair_eigh(*_pair_key(rho, sigma))
+    rv, sv, tv = v[1], v[2], v[3]
+    rw = clamped_spectrum(w[1])
+    sw = clamped_spectrum(w[2])
     over_r = np.abs(tv.conj().T @ rv) ** 2  # [k, i]
     over_s = np.abs(tv.conj().T @ sv) ** 2  # [k, j]
     tau = over_r @ rw + over_s @ sw
@@ -275,9 +319,14 @@ def qjsd_spectral(rho, sigma) -> float:
     return 0.5 * total
 
 
-def qjsd_sqrt(rho, sigma) -> float:
-    """sqrt of the quantum Jensen-Shannon divergence; the candidate metric."""
-    return float(np.sqrt(qjsd(rho, sigma)))
+def qjsd_sqrt(rho, sigma):
+    """sqrt of the quantum Jensen-Shannon divergence; the candidate metric.
+
+    Takes two states or two stacks of one shape, as qjsd does: a float for
+    one pair, an array of shape (...) for a stack.
+    """
+    out = np.sqrt(qjsd(rho, sigma))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +421,7 @@ def wootters_distance(psi, phi) -> float:
 
 def hilbert_schmidt_distance(a, b) -> float:
     """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two operators."""
-    x, y = _two_states(a, b)
+    x, y = _checked_pair(*_pair_key(a, b))
     d = x - y
     return float(np.sqrt(max(hs_inner(d, d).real, 0.0)))
 
@@ -389,17 +438,6 @@ def _jsd_of_outcomes(p: np.ndarray):
     return _jsd_from_probs(p[..., 0, :], p[..., 1, :])
 
 
-def _measured_jsd(a: np.ndarray, b: np.ndarray, elements: np.ndarray):
-    """Classical JSD of the outcome laws of POVMs on two states, no checks.
-
-    `elements` is a validated stack (..., K, N, N) of POVMs; the result has
-    shape (...). All outcome probabilities Tr(E_k a), Tr(E_k b) come from one
-    contraction, and every JSD from one entropy call, so a POVM gets the same
-    bits whichever other POVMs share its stack.
-    """
-    return _jsd_of_outcomes(np.einsum("...kij,sij->...sk", elements.conj(), np.stack([a, b])).real)
-
-
 def measured_jsd(rho, sigma, povm) -> float:
     """Classical JSD of the outcome distributions a POVM induces on two states.
 
@@ -411,9 +449,10 @@ def measured_jsd(rho, sigma, povm) -> float:
     """
     a, b = _two_states(rho, sigma)
     elements = check_povm(povm)
-    if elements.ndim != 3 or elements.shape[1:] != a.shape:
+    if elements.shape[1:] != a.shape:
         raise DimMismatch("POVM dimension does not match the states")
-    return _measured_jsd(a, b, elements)
+    # p[s, k] = Tr(E_k x_s), with x_0 = a and x_1 = b
+    return _jsd_of_outcomes(np.einsum("kij,sij->sk", elements.conj(), np.stack([a, b])).real)
 
 
 def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
@@ -425,23 +464,18 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     matrices from the counter stream of key derive_seed(seed, 0x5B0B). The
     true supremum is at least this value and never exceeds qjsd(rho, sigma).
 
-    The inputs are validated once, as Hermitian matrices of one dimension;
-    the four derived operators are eigendecomposed as one stack without a
-    second check, since a - b may deviate from Hermitian by twice the
-    tolerance of its inputs. All 4 + restarts bases are checked as one stack
-    of unitaries. Outcome k of basis U has probability Re (U† x U)_kk, read
-    for every basis and both states from one O(N³) contraction over the
-    stack; no projector is built. That needs no PSD check: the projectors of
-    a basis that passes check_unitary are PSD, and their outcome laws sum to
-    1 up to round-off.
+    The inputs are validated once, as Hermitian matrices of one dimension,
+    and the four derived operators are eigendecomposed as one stack, which
+    fidelity and qjsd_spectral share for the same pair (see _pair_eigh). All
+    4 + restarts bases are checked as one stack of unitaries. Outcome k of
+    basis U has probability Re (U† x U)_kk, read for every basis and both
+    states from one O(N³) contraction over the stack; no projector is built.
+    That needs no PSD check: the projectors of a basis that passes
+    check_unitary are PSD, and their outcome laws sum to 1 up to round-off.
     """
     if restarts < 1:
         raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
-    a, b = _two_states(rho, sigma)
-    try:
-        eigenbases = np.linalg.eigh(np.stack([a - b, a, b, (a + b) / 2.0])).eigenvectors
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
+    a, b, _, eigenbases = _pair_eigh(*_pair_key(rho, sigma))
     n = a.shape[0]
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
     z = CounterStream([derive_seed(seed, 0x5B0B)]).standard_normal(entries)[0]
@@ -465,10 +499,12 @@ def fidelity(rho, sigma) -> float:
     eigenvalues of sqrt(rho) sigma sqrt(rho) instead amplifies round-off: for
     rank-deficient states its true zero eigenvalues come out near 1e-17 and
     each adds about 3e-9 after the square root, while the matching singular
-    values of M stay near 1e-17.
+    values of M stay near 1e-17. The square roots come from the eigensystems
+    of the stack that qjsd_spectral and djs1_lower_bound share (see
+    _pair_eigh).
     """
-    a, b = _two_states(rho, sigma)
-    s = np.linalg.svd(matrix_sqrt(a) @ matrix_sqrt(b), compute_uv=False)
+    _, _, w, v = _pair_eigh(*_pair_key(rho, sigma))
+    s = np.linalg.svd(sqrt_from_eigh(w[1], v[1]) @ sqrt_from_eigh(w[2], v[2]), compute_uv=False)
     return min(max(float(np.sum(s)), 0.0), 1.0)
 
 
@@ -479,8 +515,7 @@ def d_h_closed_form(rho, sigma) -> float:
     maximal purification overlap, which is the fidelity; phi being decreasing
     turns the maximum overlap into the minimum entropy.
     """
-    a, b = _two_states(rho, sigma)
-    return float(np.sqrt(phi_pure(fidelity(a, b))))
+    return float(np.sqrt(phi_pure(fidelity(rho, sigma))))
 
 
 def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
@@ -507,10 +542,9 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     from .anneal import minimize  # deferred: anneal imports this module
 
     a, b = _two_states(rho, sigma)
-    check_density(a)
     n = a.shape[0]
-    psi = purification(a, np.eye(n))
-    sw, sv = eigh(check_density(b))
+    psi = purification(a, np.eye(n))  # validates a as a density matrix
+    sw, sv = eigh(check_density(b), validate=False)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
 
     def objective(theta: np.ndarray) -> np.ndarray:

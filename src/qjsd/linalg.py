@@ -8,8 +8,6 @@ Hermitian solvers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimMismatch, NonConvergence, NotHermitian, NotPositive
@@ -19,13 +17,6 @@ HERMITIAN_TOL = 1e-12
 PSD_CLAMP = 1e-10  # eigenvalues in [-PSD_CLAMP, 0) are round-off, below is an error
 TRACE_TOL = 1e-10
 UNITARY_TOL = 1e-10
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition m = V diag(w) V† with w real ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
@@ -49,18 +40,19 @@ def check_hermitian(m, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.nd
     return a
 
 
-def eigh(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def eigh(m, validate: bool = True):
+    """Eigendecomposition of a Hermitian matrix; numpy's named result.
 
     Returns real eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns, so that V diag(w) V† reconstructs the input.
+    eigenvector columns, so that V diag(w) V† reconstructs the input. With
+    validate=False the input is not checked and may be a stack (..., N, N),
+    for a caller that has validated it already. A LAPACK failure raises
+    NonConvergence.
     """
-    a = check_hermitian(m)
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(check_hermitian(m) if validate else m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    return EigenDecomposition(w, v)
 
 
 def clamped_spectrum(w: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
@@ -71,17 +63,23 @@ def clamped_spectrum(w: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def matrix_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix via spectral calculus.
+def sqrt_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Principal square root V diag(sqrt w) V† of a PSD Hermitian matrix from
+    its eigensystem.
 
     Eigenvalues at or below the eigensolver's round-off level N*eps*max|w|
     count as zero: a true zero comes out near 1e-16, and its square root,
     near 1e-8, would otherwise pass into the result.
     """
-    w, v = eigh(m)
     w = clamped_spectrum(w)
     s = np.sqrt(np.where(w > w.size * np.finfo(np.float64).eps * np.max(w), w, 0.0))
     return (v * s) @ v.conj().T
+
+
+def matrix_sqrt(m) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix via spectral calculus;
+    see sqrt_from_eigh."""
+    return sqrt_from_eigh(*eigh(m))
 
 
 def hs_inner(a, b) -> complex:

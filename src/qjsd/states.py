@@ -151,21 +151,20 @@ def check_unitary(u, dim: int | None = None) -> np.ndarray:
 def check_povm(elements) -> np.ndarray:
     """Validate a POVM: PSD Hermitian elements summing to the identity.
 
-    Takes a list of N x N elements or a (K, N, N) stack, or a stack
-    (..., K, N, N) of POVMs, and returns the stack as a complex array. A
-    stack with one bad POVM raises what that POVM raises alone.
+    Takes a list of N x N elements or a (K, N, N) stack, and returns the
+    stack as a complex array.
     """
     if len(elements) == 0:
         raise ValueError("POVM needs at least one element")
     if len({np.shape(e) for e in elements}) > 1:
         raise DimMismatch("POVM elements have mixed dimensions")
     mats = check_hermitian(elements, stack=True)
-    if mats.ndim < 3:
+    if mats.ndim != 3:
         raise DimMismatch(f"expected a list of square matrices, got shape {mats.shape}")
     w = np.linalg.eigvalsh(mats).min()
     if w < -PSD_CLAMP:
         raise NotPositive(f"POVM element eigenvalue {w:.3e}")
-    dev = np.max(np.abs(mats.sum(axis=-3) - np.eye(mats.shape[-1])))
+    dev = np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[-1])))
     if dev > TRACE_TOL:
         raise ValueError(f"POVM elements sum to identity only within {dev:.3e}")
     return mats
@@ -187,14 +186,11 @@ def linear_entropy(rho) -> float:
     return float(1.0 - np.vdot(a, a).real)
 
 
-def projective_povm(basis):
+def projective_povm(basis) -> list:
     """Rank-1 projective POVM from the columns of a unitary, as the list of
-    the N projectors. A stack (..., N, N) of unitaries gives the stack
-    (..., N, N, N) of their POVMs."""
-    u = check_unitary(basis)
-    v = np.swapaxes(u, -1, -2)  # v[..., k, :] is column k
-    e = v[..., :, None] * v[..., None, :].conj()
-    return list(e) if u.ndim == 2 else e
+    the N projectors."""
+    u = check_unitary(as_complex_matrix(basis))
+    return [np.outer(col, col.conj()) for col in u.T]
 
 
 def purification(rho, v) -> np.ndarray:
@@ -383,6 +379,7 @@ def read_state_file(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # a non-UTF-8 file raises UnicodeDecodeError, a deeply nested one RecursionError
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read state file {path}: {exc}") from exc
     return state_from_dict(obj)

@@ -14,10 +14,11 @@ from qjsd.audit import (
     run_audit,
     triangle_defect,
 )
+from qjsd.divergences import qjsd_sqrt
 from qjsd.errors import DimMismatch, EdgeMismatch, InvalidConfig
-from qjsd.states import derive_seed
+from qjsd.states import density_from_pure, derive_seed
 
-from conftest import rand_density
+from conftest import rand_density, rand_pure
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -35,6 +36,17 @@ def test_defect_pivot_equals_endpoint_is_exactly_zero(rng):
 
 def test_defect_qubit_oracle_value():
     assert triangle_defect(KET0, MIXED, KET1) == pytest.approx(QUBIT_DEFECT, abs=1e-13)
+
+
+def test_defect_is_the_sum_of_three_single_pair_calls(rng):
+    # one stacked qjsd_sqrt call gives each side the bits of its own call
+    for dim in range(2, 9):
+        for _ in range(3):
+            mixed = [rand_density(rng, dim) for _ in range(3)]
+            pure = [density_from_pure(rand_pure(rng, dim)) for _ in range(3)]
+            for rho, xi, sigma in (mixed, pure):
+                want = qjsd_sqrt(rho, xi) + qjsd_sqrt(xi, sigma) - qjsd_sqrt(rho, sigma)
+                assert triangle_defect(rho, xi, sigma) == want
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

@@ -152,13 +152,40 @@ def test_compare_malformed_file_exits_65(tmp_path):
     good = tmp_path / "good.json"
     write_state_file(MIXED, good)
     for text in [
-        "{}",
-        '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]}',
-        '{"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
-        '{"dim": 3, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b"{}",
+        b'{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]}',
+        b'{"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dim": 3, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dim": 2, "matrix": "\xff"}',  # not UTF-8
+        b"[" * 200000 + b"]" * 200000,  # nested past the recursion limit
     ]:
-        bad.write_text(text)
+        bad.write_bytes(text)
         assert main(["compare", str(bad), str(good)]) == 65
+
+
+def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
+    # two eigvalsh to read the files, one for qjsd, and one eigh of the stack
+    # [a - b, a, b, (a + b)/2] that fidelity, qjsd_spectral and
+    # djs1_lower_bound share
+    rng = np.random.default_rng(44)
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for n in (2, 5, 8):
+        paths = [str(tmp_path / f"{n}{side}.json") for side in "ab"]
+        for path in paths:
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            lam = rng.dirichlet(np.ones(n))
+            write_state_file((u * lam) @ u.conj().T, path)
+        calls.clear()
+        assert main(["compare", *paths]) == 0
+        assert "wootters" not in json.loads(capsys.readouterr().out)
+        want = [("eigvalsh", (n, n))] * 2 + [("eigvalsh", (3, n, n)), ("eigh", (4, n, n))]
+        assert sorted(calls) == sorted(want)
 
 
 def test_purescan_exit_and_payload(capsys):

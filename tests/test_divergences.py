@@ -4,7 +4,6 @@ import pytest
 from qjsd.anneal import AnnealSchedule
 from qjsd.audit import triangle_defect
 from qjsd.divergences import (
-    _measured_jsd,
     classical_jsd,
     d_h_by_optimization,
     d_h_closed_form,
@@ -27,7 +26,6 @@ from qjsd.divergences import (
 from qjsd.errors import DimMismatch, DomainError, SupportViolation
 from qjsd.states import (
     CounterStream,
-    check_povm,
     density_from_pure,
     derive_seed,
     projective_povm,
@@ -145,6 +143,22 @@ def test_qjsd_sqrt_extremes():
 def test_qjsd_dim_mismatch():
     with pytest.raises(DimMismatch):
         qjsd(np.eye(2) / 2.0, np.eye(3) / 3.0)
+
+
+def test_qjsd_stack_of_pairs_matches_each_pair_alone(rng):
+    for dim in range(2, 9):
+        pairs = [_triplet(rng, dim, kind)[:2] for kind in ("mixed", "pure", "coincident") * 2]
+        rhos = np.stack([p[0] for p in pairs]).reshape(2, 3, dim, dim)
+        sigmas = np.stack([p[1] for p in pairs]).reshape(2, 3, dim, dim)
+        for fn in (qjsd, qjsd_sqrt):
+            alone = [fn(a, b) for a, b in pairs]
+            assert all(type(v) is float for v in alone)
+            assert fn(rhos, sigmas).tolist() == np.reshape(alone, (2, 3)).tolist()
+            assert fn(rhos[0], sigmas[0]).tolist() == alone[:3]
+            with pytest.raises(DimMismatch):
+                fn(rhos, sigmas[0])
+            with pytest.raises(DimMismatch):
+                fn(rhos[0, 0], sigmas[0])
 
 
 def test_spectral_path_commuting_reduces_to_classical(rng):
@@ -380,14 +394,6 @@ def _djs1_pairs(seed):
             yield rand_density(rng, n), rand_density(rng, n)
 
 
-def test_measured_jsd_stack_matches_each_basis_alone():
-    for i, (a, b) in enumerate(_djs1_pairs(41)):
-        bases = _djs1_bases(a, b, restarts=8, seed=i)
-        stacked = _measured_jsd(a, b, check_povm(projective_povm(np.array(bases))))
-        alone = [measured_jsd(a, b, projective_povm(u)) for u in bases]
-        assert stacked.tolist() == alone
-
-
 def test_djs1_is_the_best_basis_of_an_independent_loop():
     # classical_jsd of the diagonals of U†rho U and U†sigma U, and
     # measured_jsd of the basis's projectors, each round differently from
@@ -489,6 +495,19 @@ def test_djs1_gap_for_noncommuting_pair():
 # ---------------------------------------------------------------------------
 # Fidelity and the purification metric
 # ---------------------------------------------------------------------------
+
+def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):
+    # fidelity, qjsd_spectral and djs1_lower_bound share one cached
+    # eigensystem per pair, keyed on the inputs' bytes, not on the objects
+    for fn in (fidelity, qjsd_spectral, lambda x, y: djs1_lower_bound(x, y, restarts=2)):
+        for dim in (2, 5):
+            a, b = rand_density(rng, dim), rand_density(rng, dim)
+            before = fn(a, b)
+            a[...] = rand_density(rng, dim)
+            got = fn(a, b)
+            assert got != before
+            assert got == fn(a.copy(), b.copy())
+
 
 def test_fidelity_equal_states(rng):
     rho = rand_density(rng, 3)

@@ -341,14 +341,12 @@ def _unnormalized(e):
 
 
 @pytest.mark.parametrize("corrupt, error", [(_skew, NotHermitian), (_negative, NotPositive), (_unnormalized, ValueError)])
-def test_check_povm_stack_fails_with_its_bad_member(corrupt, error):
-    povms = projective_povm(_counter_unitaries(3, 5, seed=9))
-    assert povms.shape == (5, 3, 3, 3)
-    assert np.array_equal(check_povm(povms), povms)
-    corrupt(povms[2])
-    _raised_alone_and_stacked(check_povm, povms, 2, error)
+def test_check_povm_rejects_a_bad_povm(corrupt, error):
+    elements = np.array(projective_povm(_counter_unitaries(3, 1, seed=9)[0]))
+    assert np.array_equal(check_povm(elements), elements)
+    corrupt(elements)
     with pytest.raises(error):
-        check_povm(list(povms[2]))
+        check_povm(list(elements))
 
 
 def test_check_povm_mixed_dimensions():
@@ -356,10 +354,6 @@ def test_check_povm_mixed_dimensions():
     assert isinstance(elements, list) and len(elements) == 3
     with pytest.raises(DimMismatch):
         check_povm(elements[:2] + [np.eye(2)])
-    povms = list(projective_povm(_counter_unitaries(3, 4, seed=10)))
-    povms[2] = projective_povm(_counter_unitaries(2, 1, seed=10))[0]
-    with pytest.raises(DimMismatch):
-        check_povm(povms)
 
 
 def test_partial_trace_product_state(rng):

@@ -81,19 +81,15 @@ def _sides(params: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return d[..., 0], d[..., 1], d[..., 2]
 
 
-def _float_if_scalar(f):
-    return float(f) if np.ndim(f) == 0 else f
-
-
 def objective_single(params: np.ndarray, dim: int):
     """Triangle defect d(rho,xi) + d(xi,sigma) - d(rho,sigma) of the decoded triplet.
 
-    Takes one parameter vector, giving a float, or a stack (..., 6*dim^2),
-    giving an array of the leading shape; each row's value is bit for bit
-    what the row alone gives.
+    Takes one parameter vector, giving a numpy float64 scalar (a float), or a
+    stack (..., 6*dim^2), giving an array of the leading shape; each row's
+    value is bit for bit what the row alone gives.
     """
     d01, d12, d02 = _sides(params, dim)
-    return _float_if_scalar(d01 + d12 - d02)
+    return d01 + d12 - d02
 
 
 def objective_symmetrized(params: np.ndarray, dim: int):
@@ -105,7 +101,7 @@ def objective_symmetrized(params: np.ndarray, dim: int):
     Takes one parameter vector or a stack, as objective_single does.
     """
     d01, d12, d02 = _sides(params, dim)
-    return _float_if_scalar(((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0)
+    return ((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0
 
 
 _OBJECTIVES = {"single": objective_single, "symmetrized": objective_symmetrized}

@@ -261,11 +261,6 @@ def histogram_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_histogram_csv(hist: Histogram, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(histogram_csv(hist))
-
-
 def report_to_dict(report: AuditReport) -> dict:
     return {
         "sampler_version": SAMPLER_VERSION,

@@ -56,7 +56,8 @@ def cmd_audit(args) -> int:
         workers=args.workers,
     )
     prefix = args.out or f"audit_dim{args.dim}_seed{args.seed}"
-    audit_mod.write_histogram_csv(report.histogram, prefix + ".csv")
+    with open(prefix + ".csv", "w", encoding="utf-8") as fh:
+        fh.write(audit_mod.histogram_csv(report.histogram))
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
         fh.write(_dump(audit_mod.report_to_dict(report)))
     print(
@@ -109,9 +110,9 @@ def cmd_compare(args) -> int:
     }
     pure_cut = 1.0 - 1e-10
     if 1.0 - linear_entropy(rho) > pure_cut and 1.0 - linear_entropy(sigma) > pure_cut:
-        psi = np.linalg.eigh(rho)[1][:, -1]
-        phi = np.linalg.eigh(sigma)[1][:, -1]
-        table["wootters"] = div.wootters_distance(psi, phi)
+        # fidelity has solved rho and sigma already, as entries 1 and 2 of the pair's stack
+        v = div._pair_eigh(*div._pair_key(rho, sigma))[3]
+        table["wootters"] = div.wootters_distance(v[1][:, -1], v[2][:, -1])
     sys.stdout.write(_dump(table))
     return EXIT_OK
 
@@ -206,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QJSD_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(name)s: %(message)s")
+    # the level names are the int attributes of logging; BASIC_FORMAT, for one, is a str
+    level = getattr(logging, os.environ.get("QJSD_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING, format="%(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
-from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, hs_inner, sqrt_from_eigh
+from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, sqrt_from_eigh
 from .states import (
     CounterStream,
     check_density,
@@ -143,6 +143,8 @@ def schoenberg_check(coefficients, distributions) -> float:
     ps = [check_prob_vector(p) for p in distributions]
     if len(ps) != c.size:
         raise DimMismatch("one distribution per coefficient required")
+    if len({p.size for p in ps}) > 1:
+        raise DimMismatch(f"distribution lengths {sorted({p.size for p in ps})} differ")
     k = c.size
     total = 0.0
     for i in range(k):
@@ -171,25 +173,20 @@ def _pair_key(rho, sigma) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _checked_pair(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of a _pair_key, validated by _two_states, as read-only arrays."""
-    return _two_states(
+def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, w, v) for the pair of a _pair_key: the pair, validated by
+    _two_states as read-only views of the key's bytes, and the read-only
+    eigensystem of the stack [a - b, a, b, (a + b)/2].
+
+    fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
+    here, so one compare of a pair validates the pair and solves the stack
+    once. The stack is not checked again, since a - b may deviate from
+    Hermitian by twice the tolerance of its inputs.
+    """
+    a, b = _two_states(
         np.frombuffer(bytes_a, np.complex128).reshape(shape_a),
         np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_eigh(*key) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, w, v) for the pair of a _pair_key: the validated pair and the
-    read-only eigensystem of the stack [a - b, a, b, (a + b)/2].
-
-    fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
-    here, so one compare of a pair solves the stack once. The stack is not
-    checked again, since a - b may deviate from Hermitian by twice the
-    tolerance of its inputs.
-    """
-    a, b = _checked_pair(*key)
     w, v = eigh(np.stack([a - b, a, b, (a + b) / 2.0]), validate=False)
     w.flags.writeable = v.flags.writeable = False
     return a, b, w, v
@@ -209,7 +206,7 @@ def relative_entropy(rho, sigma) -> float:
     """
     a, b = _two_states(rho, sigma)
     r = clamped_spectrum(np.linalg.eigvalsh(a))
-    sw, sv = eigh(b)
+    sw, sv = eigh(b, validate=False)
     sw = clamped_spectrum(sw)
     weights = np.einsum("ij,jk,ki->i", sv.conj().T, a, sv).real
     weights = np.maximum(weights, 0.0)
@@ -420,10 +417,11 @@ def wootters_distance(psi, phi) -> float:
 
 
 def hilbert_schmidt_distance(a, b) -> float:
-    """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two operators."""
-    x, y = _checked_pair(*_pair_key(a, b))
+    """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two Hermitian
+    matrices of one shape, validated as qjsd validates its pair."""
+    x, y = _two_states(a, b)
     d = x - y
-    return float(np.sqrt(max(hs_inner(d, d).real, 0.0)))
+    return float(np.sqrt(max(np.vdot(d, d).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------

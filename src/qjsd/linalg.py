@@ -30,13 +30,14 @@ def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
     return a
 
 
-def check_hermitian(m, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.ndarray:
-    """Validate Hermitian symmetry (max entrywise deviation from m†); with
-    stack=True, of every matrix of a stack (..., N, N)."""
+def check_hermitian(m, stack: bool = False) -> np.ndarray:
+    """Validate Hermitian symmetry: the max entrywise deviation from m† is
+    within HERMITIAN_TOL; with stack=True, of every matrix of a stack
+    (..., N, N)."""
     a = as_complex_matrix(m, stack)
     dev = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)))
-    if dev > tol:
-        raise NotHermitian(f"deviation from conjugate transpose is {dev:.3e} > {tol:.0e}")
+    if dev > HERMITIAN_TOL:
+        raise NotHermitian(f"deviation from conjugate transpose is {dev:.3e} > {HERMITIAN_TOL:.0e}")
     return a
 
 
@@ -55,11 +56,12 @@ def eigh(m, validate: bool = True):
         raise NonConvergence(str(exc)) from exc
 
 
-def clamped_spectrum(w: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
-    """Clamp eigenvalues in [-clamp, 0) to 0; below -clamp raise NotPositive."""
+def clamped_spectrum(w: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues in [-PSD_CLAMP, 0) to 0; below -PSD_CLAMP raise
+    NotPositive."""
     lo = float(np.min(w))
-    if lo < -clamp:
-        raise NotPositive(f"eigenvalue {lo:.3e} below -{clamp:.0e}")
+    if lo < -PSD_CLAMP:
+        raise NotPositive(f"eigenvalue {lo:.3e} below -{PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)
 
 

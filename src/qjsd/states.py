@@ -203,7 +203,7 @@ def purification(rho, v) -> np.ndarray:
     a = check_density(rho)
     n = a.shape[0]
     u = check_unitary(v, n)
-    w, vecs = eigh(a)
+    w, vecs = eigh(a, validate=False)
     s = np.sqrt(clamped_spectrum(w))
     return ((vecs * s) @ u.T).reshape(-1)
 
@@ -360,10 +360,12 @@ def state_from_dict(obj) -> np.ndarray:
     """The density matrix of a state object, read in one numpy pass as a
     float64 (N, N, 2) array viewed as complex128; ParseError if malformed."""
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         m = np.array(obj["matrix"])  # a ragged matrix raises ValueError
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed state object: {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):  # int() would read "2", 2.5 and true
+        raise ParseError(f"dim must be an integer, got {dim!r}")
     if m.dtype.kind not in "biuf":  # astype would parse the string "1.0"
         raise ParseError(f"matrix entries are not all numbers (numpy dtype {m.dtype})")
     if m.shape != (dim, dim, 2):

@@ -127,3 +127,5 @@ def test_schoenberg_random_negative():
 def test_schoenberg_validates_coefficients():
     with pytest.raises(ValueError):
         schoenberg_check([1.0, 1.0], [np.array([1.0]), np.array([1.0])])
+    with pytest.raises(DimMismatch):  # distributions of unequal length
+        schoenberg_check([1.0, -1.0], [np.array([1.0]), np.array([0.5, 0.5])])

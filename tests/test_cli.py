@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +170,8 @@ def test_compare_malformed_file_exits_65(tmp_path):
 def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
     # two eigvalsh to read the files, one for qjsd, and one eigh of the stack
     # [a - b, a, b, (a + b)/2] that fidelity, qjsd_spectral and
-    # djs1_lower_bound share
+    # djs1_lower_bound share; a pure pair reads its vectors for the Wootters
+    # angle from that stack too
     rng = np.random.default_rng(44)
     calls = []
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
@@ -185,6 +190,16 @@ def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
         assert main(["compare", *paths]) == 0
         assert "wootters" not in json.loads(capsys.readouterr().out)
         want = [("eigvalsh", (n, n))] * 2 + [("eigvalsh", (3, n, n)), ("eigh", (4, n, n))]
+        assert sorted(calls) == sorted(want)
+
+        psi, phi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        for path, v in zip(paths, (psi, phi)):
+            v = v / np.linalg.norm(v)
+            write_state_file(np.outer(v, v.conj()), path)
+        calls.clear()
+        assert main(["compare", *paths]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["wootters"] == pytest.approx(np.arccos(table["fidelity"]), abs=1e-6)
         assert sorted(calls) == sorted(want)
 
 
@@ -231,3 +246,11 @@ def test_log_env_smoke(tmp_path, monkeypatch):
     monkeypatch.setenv("QJSD_LOG", "debug")
     assert main(["audit", "--dim", "2", "--samples", "20", "--seed", "1",
                  "--out", str(tmp_path / "log")]) == 0
+    # an attribute of logging that is not a level falls back to WARNING; in a
+    # fresh interpreter, since pytest's root handlers make basicConfig a no-op
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, QJSD_LOG="basic_format", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "qjsd.cli", "purescan", "--grid-steps", "4", "--x-steps", "3"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "min_g" in json.loads(run.stdout)

@@ -462,6 +462,9 @@ def test_read_state_rejects_garbage(tmp_path):
         '{"dim": 3, "matrix": ' + half + "}",  # dim mismatch
         '{"dim": "two", "matrix": ' + half + "}",
         '{"dim": 1e999, "matrix": ' + half + "}",
+        '{"dim": "2", "matrix": ' + half + "}",  # int() reads these three
+        '{"dim": 2.5, "matrix": ' + half + "}",
+        '{"dim": true, "matrix": [[[1, 0]]]}',
         '{"matrix": ' + half + "}",
         "[" + half + "]",
     ]:

@@ -13,6 +13,7 @@ inequality and is surfaced loudly by the CLI, never clipped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -25,6 +26,12 @@ from .errors import DegenerateBlock, InvalidConfig
 from .states import check_sampling, derive_seed, map_groups, state_to_dict
 
 _TRACE_FLOOR = 1e-30
+
+
+def _check_count(name: str, value) -> None:
+    """InvalidConfig unless value is an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,7 @@ class AnnealSchedule:
             raise InvalidConfig(f"need inf > t_initial > t_final > 0, got {self.t_initial}, {self.t_final}")
         if not 0.0 < self.cooling_ratio < 1.0:
             raise InvalidConfig(f"cooling_ratio must lie in (0, 1), got {self.cooling_ratio}")
-        if self.steps_per_temperature < 1:
-            raise InvalidConfig(f"steps_per_temperature must be >= 1, got {self.steps_per_temperature}")
+        _check_count("steps_per_temperature", self.steps_per_temperature)
         if not math.inf > self.proposal_scale_ratio > 0.0:
             raise InvalidConfig(f"proposal_scale_ratio must lie in (0, inf), got {self.proposal_scale_ratio}")
         return self
@@ -68,12 +74,15 @@ def _decode_triplet(params: np.ndarray, dim: int) -> np.ndarray:
     decode_state does one: (..., blocks * 2*dim^2) -> (..., blocks, dim, dim)."""
     x = np.asarray(params, dtype=np.float64)
     x = x.reshape(x.shape[:-1] + (-1, 2, dim, dim))
-    a = x[..., 0, :, :] + 1j * x[..., 1, :, :]
-    g = a @ np.conj(np.swapaxes(a, -2, -1))
-    tr = np.trace(g, axis1=-2, axis2=-1).real
-    if np.min(tr) <= _TRACE_FLOOR:
-        raise DegenerateBlock(f"Tr(A A†) = {float(np.min(tr))!r}")
-    return g / tr[..., None, None]
+    a = np.empty(x.shape[:-3] + (dim, dim), dtype=np.complex128)
+    a.real = x[..., 0, :, :]
+    a.imag = x[..., 1, :, :]
+    g = a @ a.conj().swapaxes(-2, -1)
+    tr = g.trace(axis1=-2, axis2=-1).real
+    if tr.min() <= _TRACE_FLOOR:
+        raise DegenerateBlock(f"Tr(A A†) = {float(tr.min())!r}")
+    g /= tr[..., None, None]
+    return g
 
 
 def _sides(params: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,7 +124,8 @@ def _normalize_blocks(params: np.ndarray, dim: int) -> np.ndarray:
     temperature-scaled proposals stop moving the decoded states.
     """
     b = params.reshape(params.shape[:-1] + (3, -1))
-    nrm = np.linalg.norm(b, axis=-1, keepdims=True) / math.sqrt(dim)
+    nrm = np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))  # np.linalg.norm's own formula
+    nrm /= math.sqrt(dim)
     return (b / np.where(nrm > 0.0, nrm, 1.0)).reshape(params.shape)
 
 
@@ -142,33 +152,35 @@ def _chains(
     x = np.stack([rng.standard_normal(n_params) for rng in rngs])
     if canonicalize is not None:
         x = canonicalize(x)
-    fx = objective(x)
-    best_f, best_x = fx.copy(), x.copy()
-    noise = np.empty_like(x)
+    fx = objective(x).tolist()
+    best_f, best_x = list(fx), x.copy()
+    cand = np.empty_like(x)
     trace: list[list[float]] = []  # per temperature, one best value per row
     t = schedule.t_initial
     while t > schedule.t_final:
         sigma = schedule.proposal_scale_ratio * t
         for _ in range(schedule.steps_per_temperature):
-            for rng, row in zip(rngs, noise):
+            for rng, row in zip(rngs, cand):
                 rng.standard_normal(out=row)
-            cand = x + sigma * noise
-            fc = objective(cand)
-            accept = fc <= fx
-            for i in np.flatnonzero(~accept):
-                delta = float(fc[i] - fx[i]) / t
-                accept[i] = delta < 700.0 and rngs[i].random() < math.exp(-delta)
-            if accept.any():
-                if canonicalize is not None:
-                    cand = canonicalize(cand)
-                np.copyto(x, cand, where=accept[:, None])
-                np.copyto(fx, fc, where=accept)
-                better = accept & (fc < best_f)
-                np.copyto(best_x, x, where=better[:, None])
-                np.copyto(best_f, fc, where=better)
-        trace.append(best_f.tolist())
+            cand *= sigma  # cand = x + sigma * noise, in the proposal's buffer
+            cand += x
+            fc = objective(cand).tolist()
+            accept = []
+            for i, (c, f) in enumerate(zip(fc, fx)):
+                delta = (c - f) / t  # a NaN fails both tests
+                if c <= f or delta < 700.0 and rngs[i].random() < math.exp(-delta):
+                    accept.append(i)
+            if accept:
+                kept = cand if canonicalize is None else canonicalize(cand)
+                for i in accept:
+                    x[i] = kept[i]
+                    fx[i] = fc[i]
+                    if fc[i] < best_f[i]:
+                        best_x[i] = kept[i]
+                        best_f[i] = fc[i]
+        trace.append(list(best_f))
         t *= schedule.cooling_ratio
-    return [(f, bx, list(tr)) for f, bx, tr in zip(best_f.tolist(), best_x, zip(*trace))]
+    return [(f, bx, list(tr)) for f, bx, tr in zip(best_f, best_x, zip(*trace))]
 
 
 def minimize(
@@ -198,8 +210,7 @@ def minimize(
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
     schedule.validate()
-    if restarts < 1:
-        raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
+    _check_count("restarts", restarts)
     chains = partial(_chains, objective, n_params, schedule, seed, canonicalize)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals

@@ -37,6 +37,7 @@ SUPPORT_CUTOFF = 1e-12  # eigenvalues below this count as outside the support
 _SUPPORT_WEIGHT_TOL = 1e-9
 # side i of a state pair or triplet joins state i to state _PARTNER[k][i]
 _PARTNER = {2: np.array([1]), 3: np.array([1, 2, 0])}
+_MINUS_PLUS = np.array([-1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +65,11 @@ def entropy_from_eigenvalues(w) -> np.ndarray | float:
     Round-off negatives are clamped to 0 and 0 log 0 is taken as 0.
     """
     lam = np.maximum(np.asarray(w, dtype=np.float64), 0.0)
-    safe = np.where(lam > 0.0, lam, 1.0)
-    out = -np.sum(lam * np.log2(safe), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    terms = np.where(lam > 0.0, lam, 1.0)
+    np.log2(terms, out=terms)
+    terms *= lam
+    out = -np.add.reduce(terms, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def shannon_entropy(p) -> float:
@@ -333,7 +336,10 @@ def qjsd_sqrt(rho, sigma):
 def _phi_raw(x):
     """Divergence of two pure states with overlap magnitude x; no domain check."""
     xm = np.minimum(np.asarray(x, dtype=np.float64), 1.0)
-    return np.maximum(entropy_from_eigenvalues(np.stack([(1.0 - xm) / 2.0, (1.0 + xm) / 2.0], -1)), 0.0)
+    p = xm[..., None] * _MINUS_PLUS  # the spectrum ((1 - xm)/2, (1 + xm)/2) on the last axis
+    p += 1.0
+    p /= 2.0
+    return np.maximum(entropy_from_eigenvalues(p), 0.0)
 
 
 def phi_pure(x):
@@ -523,8 +529,10 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     gauge-fix the parameter norm without changing the decoded unitary. Takes
     one parameter vector or a stack (..., 2 n^2), giving (..., n, n).
     """
-    b = (theta[..., : n * n] + 1j * theta[..., n * n :]).reshape(theta.shape[:-1] + (n, n))
-    u, _, wh = np.linalg.svd(b)
+    b = np.empty(theta.shape[:-1] + (n * n,), dtype=np.complex128)
+    b.real = theta[..., : n * n]
+    b.imag = theta[..., n * n :]
+    u, _, wh = np.linalg.svd(b.reshape(theta.shape[:-1] + (n, n)))
     return u @ wh
 
 
@@ -544,9 +552,10 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     psi = purification(a, np.eye(n))  # validates a as a density matrix
     sw, sv = eigh(check_density(b), validate=False)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
+    root_n = math.sqrt(n)
 
     def objective(theta: np.ndarray) -> np.ndarray:
-        phi_vecs = (weighted @ np.swapaxes(_unitary_from_params(theta, n), -2, -1)).reshape(len(theta), -1)
+        phi_vecs = (weighted @ _unitary_from_params(theta, n).swapaxes(-2, -1)).reshape(len(theta), -1)
         ov = np.array([np.vdot(psi, row) for row in phi_vecs])
         # the averaged projector of two unit vectors has the spectrum
         # (1 -+ |<psi|phi>|)/2, whose entropy is phi(|<psi|phi>|); hypot
@@ -555,8 +564,8 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
 
     def gauge(theta: np.ndarray) -> np.ndarray:
         # per row sqrt(t.dot(t)), as np.linalg.norm takes it for one vector
-        nrm = np.array([math.sqrt(t.dot(t)) for t in theta]) / math.sqrt(n)
-        return theta / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+        nrm = [math.sqrt(t.dot(t)) / root_n for t in theta]
+        return theta / np.array([[v if v > 0.0 else 1.0] for v in nrm])
 
     best, _, _ = minimize(objective, 2 * n * n, schedule, seed=seed, restarts=restarts, canonicalize=gauge)
     return best

@@ -370,6 +370,9 @@ def state_from_dict(obj) -> np.ndarray:
         raise ParseError(f"matrix entries are not all numbers (numpy dtype {m.dtype})")
     if m.shape != (dim, dim, 2):
         raise ParseError(f"matrix shape {m.shape} does not match dim {dim} with [re, im] entries")
+    # numpy reads true as 1, and a mix of booleans and numbers as numbers
+    if bool in {type(v) for row in obj["matrix"] for entry in row for v in entry}:
+        raise ParseError("matrix entries are not all numbers (true or false among them)")
     a = m.astype(np.float64, copy=False).view(np.complex128)[..., 0]
     try:
         return check_density(a)

@@ -8,8 +8,10 @@ from qjsd.anneal import (
     AnnealResult,
     AnnealSchedule,
     _chains,
+    _decode_triplet,
     _normalize_blocks,
     decode_state,
+    minimize,
     objective_single,
     objective_symmetrized,
     result_to_dict,
@@ -110,6 +112,10 @@ def test_schedule_defaults_and_validation():
         AnnealSchedule(steps_per_temperature=10, cooling_ratio=1.0).validate()
     with pytest.raises(InvalidConfig):
         AnnealSchedule(steps_per_temperature=0).validate()
+    for steps in (2.5, 2.0, True, "10", None):  # range() needs an int, and True would run as 1
+        with pytest.raises(InvalidConfig):
+            AnnealSchedule(steps_per_temperature=steps).validate()
+    assert AnnealSchedule(steps_per_temperature=np.int64(10)).validate().steps_per_temperature == 10
     for bad in ({"t_initial": np.inf}, {"proposal_scale_ratio": np.inf}, {"proposal_scale_ratio": np.nan}):
         with pytest.raises(InvalidConfig):
             AnnealSchedule(steps_per_temperature=10, **bad).validate()
@@ -173,6 +179,74 @@ def test_batched_kernels_match_row_by_row(rng, dim, k):
         assert got.tobytes() == _normalize_blocks(row, dim).tobytes()
 
 
+def _decode_oracle(params, dim):
+    # the reference expression: a from x0 + 1j*x1, np.trace, a new quotient
+    x = np.asarray(params, dtype=np.float64)
+    x = x.reshape(x.shape[:-1] + (-1, 2, dim, dim))
+    a = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    g = a @ np.conj(np.swapaxes(a, -2, -1))
+    tr = np.trace(g, axis1=-2, axis2=-1).real
+    if np.min(tr) <= 1e-30:
+        raise DegenerateBlock(f"Tr(A A†) = {float(np.min(tr))!r}")
+    return g / tr[..., None, None]
+
+
+def _normalize_oracle(params, dim):
+    # the reference expression: np.linalg.norm along the block
+    b = params.reshape(params.shape[:-1] + (3, -1))
+    nrm = np.linalg.norm(b, axis=-1, keepdims=True) / np.sqrt(dim)
+    return (b / np.where(nrm > 0.0, nrm, 1.0)).reshape(params.shape)
+
+
+def _kernel_inputs(rng, dim):
+    """Single vectors and stacks of triplet parameters, with structured rows:
+    exact zeros, a rank-one block, a coincident pair and tiny and huge scales."""
+    n = 2 * dim * dim
+    structured = np.zeros((4, 3 * n))
+    structured[0, [0, n, 2 * n]] = 1.0  # three rank-one blocks, mostly exact zeros
+    structured[1] = _coincident_row(rng, dim)
+    structured[2] = rng.standard_normal(3 * n) * 1e-7
+    structured[3] = rng.standard_normal(3 * n) * 1e7
+    stack = rng.standard_normal((5, 3 * n))
+    return [stack[0], structured[0], stack, structured, np.concatenate([stack, structured]).reshape(3, 3, -1)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_decode_triplet_bit_identical_to_reference(rng, dim):
+    for params in _kernel_inputs(rng, dim):
+        got = _decode_triplet(params, dim)
+        want = _decode_oracle(params, dim)
+        assert got.shape == want.shape == params.shape[:-1] + (3, dim, dim)
+        assert np.array_equal(got, want)
+    block = rng.standard_normal(2 * dim * dim)
+    assert np.array_equal(decode_state(block, dim), _decode_oracle(block, dim)[0])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_decode_triplet_raises_on_a_vanishing_trace(rng, dim):
+    n = 2 * dim * dim
+    for scale in (0.0, 1e-16):  # Tr(A A†) of 0 and of about 1e-31, both below the floor
+        stack = rng.standard_normal((3, 3 * n))
+        stack[1, n : 2 * n] *= scale
+        for params in (stack, stack[1]):
+            with pytest.raises(DegenerateBlock):
+                _decode_oracle(params, dim)
+            with pytest.raises(DegenerateBlock):
+                _decode_triplet(params, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_normalize_blocks_bit_identical_to_reference(rng, dim):
+    n = 2 * dim * dim
+    zero_block = rng.standard_normal((2, 3 * n))
+    zero_block[0, :n] = 0.0  # a zero-norm block is left as it is
+    for params in _kernel_inputs(rng, dim) + [zero_block, zero_block[0]]:
+        got = _normalize_blocks(params, dim)
+        assert got.shape == params.shape
+        assert np.array_equal(got, _normalize_oracle(params, dim))
+    assert np.array_equal(_normalize_blocks(zero_block, dim)[0, :n], np.zeros(n))
+
+
 def test_run_anneal_contract_invariants():
     res = run_anneal("single", 2, schedule=_FAST, seed=8, restarts=3)
     assert res.best_objective >= -1e-9
@@ -201,6 +275,11 @@ def test_run_anneal_rejects_bad_config():
         run_anneal("single", 1, schedule=_FAST)
     with pytest.raises(InvalidConfig):
         run_anneal("single", 2, schedule=_FAST, restarts=0)
+    for restarts in (2.0, 1.5, True, "2"):
+        with pytest.raises(InvalidConfig):
+            run_anneal("single", 2, schedule=_FAST, restarts=restarts)
+    with pytest.raises(InvalidConfig):
+        minimize(lambda x: x[:, 0], 1, _FAST, restarts=2.0)
 
 
 def test_result_dict_shape():

@@ -160,6 +160,7 @@ def test_compare_malformed_file_exits_65(tmp_path):
         b'{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]}',
         b'{"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
         b'{"dim": 3, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dim": 2, "matrix": [[[0.5, false], [0, 0]], [[0, 0], [0.5, false]]]}',  # booleans
         b'{"dim": 2, "matrix": "\xff"}',  # not UTF-8
         b"[" * 200000 + b"]" * 200000,  # nested past the recursion limit
     ]:

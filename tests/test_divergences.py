@@ -4,10 +4,13 @@ import pytest
 from qjsd.anneal import AnnealSchedule
 from qjsd.audit import triangle_defect
 from qjsd.divergences import (
+    _phi_raw,
+    _unitary_from_params,
     classical_jsd,
     d_h_by_optimization,
     d_h_closed_form,
     djs1_lower_bound,
+    entropy_from_eigenvalues,
     fidelity,
     g_function,
     hilbert_schmidt_distance,
@@ -565,3 +568,57 @@ def test_d_h_optimizer_never_beats_closed_form():
         a, b = rand_density(rng, 2), rand_density(rng, 2)
         opt = d_h_by_optimization(a, b, restarts=1, seed=200 + i, schedule=cheap)
         assert opt >= d_h_closed_form(a, b) - 1e-6
+
+
+# Bit-identity of the lean kernels with the reference expressions they
+# replaced, written out here as the oracles.
+
+def _entropy_oracle(w):
+    lam = np.maximum(np.asarray(w, dtype=np.float64), 0.0)
+    safe = np.where(lam > 0.0, lam, 1.0)
+    out = -np.sum(lam * np.log2(safe), axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _phi_oracle(x):
+    xm = np.minimum(np.asarray(x, dtype=np.float64), 1.0)
+    return np.maximum(_entropy_oracle(np.stack([(1.0 - xm) / 2.0, (1.0 + xm) / 2.0], -1)), 0.0)
+
+
+def _unitary_oracle(theta, n):
+    b = (theta[..., : n * n] + 1j * theta[..., n * n :]).reshape(theta.shape[:-1] + (n, n))
+    u, _, wh = np.linalg.svd(b)
+    return u @ wh
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_entropy_from_eigenvalues_bit_identical_to_reference(rng, dim):
+    stack = np.linalg.eigvalsh(np.stack([rand_density(rng, dim) for _ in range(6)]))
+    stack[1, 0] = 0.0  # an exact-zero eigenvalue
+    stack[2, 0] = -1e-17  # a round-off negative
+    stack[3] = np.eye(dim)[0]  # a pure state's spectrum: zeros and a one
+    stack[4] = 1.0 / dim
+    for w in (stack, stack[0], stack[1], stack[2], stack[3], stack.reshape(2, 3, dim), stack.tolist()):
+        got, want = entropy_from_eigenvalues(w), _entropy_oracle(w)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+
+def test_phi_raw_bit_identical_to_reference(rng):
+    grid = np.linspace(0.0, 1.0, 101)
+    edges = np.array([0.0, 1.0, 1.0 + 2e-16, 0.5, 1e-300, 1.0 - 1e-16])  # overlaps 0 and 1, and round-off past 1
+    for x in (grid, edges, rng.random((7, 5)), rng.random((2, 3, 4)), 0.0, 1.0, 0.3, np.float64(0.7)):
+        got, want = _phi_raw(x), _phi_oracle(x)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unitary_from_params_bit_identical_to_reference(rng, n):
+    stack = rng.standard_normal((6, 2 * n * n))
+    stack[1, : n * n] = 0.0  # a purely imaginary matrix
+    stack[2, n * n :] = 0.0  # a real one
+    for theta in (stack, stack[0], stack[1], stack[2], stack.reshape(2, 3, -1)):
+        got = _unitary_from_params(theta, n)
+        assert got.shape == theta.shape[:-1] + (n, n)
+        assert np.array_equal(got, _unitary_oracle(theta, n))

@@ -465,6 +465,8 @@ def test_read_state_rejects_garbage(tmp_path):
         '{"dim": "2", "matrix": ' + half + "}",  # int() reads these three
         '{"dim": 2.5, "matrix": ' + half + "}",
         '{"dim": true, "matrix": [[[1, 0]]]}',
+        '{"dim": 2, "matrix": [[[0.5, false], [0, 0]], [[0, 0], [0.5, false]]]}',  # numpy reads 1/2
+        '{"dim": 1, "matrix": [[[true, false]]]}',  # and [[1]]
         '{"matrix": ' + half + "}",
         "[" + half + "]",
     ]:

@@ -17,7 +17,10 @@ The set:
   index order;
 - `qjsd compare` on the 210 pairs of `make_inputs(1, dir)`, pair k with
   `--seed k`: f"{status}\\n{stdout}" of each table, concatenated in order;
-- `repr(triangle_defect(*t))` of the same inputs' 210 triplets, concatenated.
+- `repr(triangle_defect(*t))` of the same inputs' 210 triplets, concatenated;
+- `repr(d_h_by_optimization(rho, sigma, restarts=2, seed=k))` on a short fixed
+  schedule, of the same inputs' four dim-2 and four dim-3 pairs, pair k of a
+  dim with seed k, concatenated.
 
 The manifest is keyed by the audit's `sampler_version`, since a new sampler
 changes the audit and sample outputs on purpose, and it records the numpy
@@ -43,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from qjsd import audit, cli  # noqa: E402
+from qjsd import audit, cli, divergences  # noqa: E402
+from qjsd.anneal import AnnealSchedule  # noqa: E402
 import workloads  # noqa: E402
 
 AUDITS = [  # (name, dim, samples, extra options)
@@ -54,6 +58,7 @@ AUDITS = [  # (name, dim, samples, extra options)
 ]
 ANNEAL_OPTIONS = ["--seed", "4", "--restarts", "2", "--steps-per-temp", "100", "--t-initial", "1",
                   "--t-final", "1e-5", "--cooling-ratio", "0.8", "--proposal-scale", "3"]
+DH_SCHEDULE = AnnealSchedule(50, t_initial=1.0, t_final=1e-4, cooling_ratio=0.7, proposal_scale_ratio=3.0)
 WORKERS = (1, 2)
 SPLIT = "differs between worker counts"
 
@@ -103,6 +108,9 @@ def collect(tmp: Path) -> dict:
     tables = [run(["compare", p.path_a, p.path_b, "--seed", k]) for k, p in enumerate(inputs.pairs)]
     out["compare-tables"] = sha256("".join(f"{status}\n{text}" for status, text in tables).encode())
     out["defects"] = sha256("".join(repr(audit.triangle_defect(*t)) for t in inputs.triplets).encode())
+    dh = [divergences.d_h_by_optimization(rho, sigma, restarts=2, seed=k, schedule=DH_SCHEDULE)
+          for dim in (2, 3) for k, (rho, sigma) in enumerate(inputs.dh_pairs[dim])]
+    out["dh"] = sha256("".join(map(repr, dh)).encode())
     return out
 
 

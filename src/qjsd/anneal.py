@@ -13,7 +13,6 @@ inequality and is surfaced loudly by the CLI, never clipped.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -23,15 +22,9 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
-from .states import check_sampling, derive_seed, map_groups, state_to_dict
+from .states import check_count, check_sampling, derive_seed, map_groups, state_to_dict
 
 _TRACE_FLOOR = 1e-30
-
-
-def _check_count(name: str, value) -> None:
-    """InvalidConfig unless value is an integer >= 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class AnnealSchedule:
             raise InvalidConfig(f"need inf > t_initial > t_final > 0, got {self.t_initial}, {self.t_final}")
         if not 0.0 < self.cooling_ratio < 1.0:
             raise InvalidConfig(f"cooling_ratio must lie in (0, 1), got {self.cooling_ratio}")
-        _check_count("steps_per_temperature", self.steps_per_temperature)
+        check_count("steps_per_temperature", self.steps_per_temperature)
         if not math.inf > self.proposal_scale_ratio > 0.0:
             raise InvalidConfig(f"proposal_scale_ratio must lie in (0, inf), got {self.proposal_scale_ratio}")
         return self
@@ -207,10 +200,11 @@ def minimize(
     groups by states.map_groups, whose picklability rule then applies to
     `objective` and `canonicalize`.
     """
+    check_count("n_params", n_params)
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
     schedule.validate()
-    _check_count("restarts", restarts)
+    check_count("restarts", restarts)
     chains = partial(_chains, objective, n_params, schedule, seed, canonicalize)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -29,6 +28,7 @@ from .divergences import qjsd_sides, qjsd_sqrt
 from .errors import DimMismatch, EdgeMismatch, InvalidConfig
 from .states import (
     CounterStream,
+    check_count,
     check_sampling,
     derive_seed,
     draw_state_params,
@@ -153,9 +153,11 @@ def _shard(
     none past `samples`; returns the histogram, the violation and noise
     counts, and the smallest defects."""
     start, stop = chunks.start * _CHUNK, min(chunks.stop * _CHUNK, samples)
-    nbins = edges.size - 1
-    counts = np.zeros(nbins, dtype=np.int64)
-    underflow = overflow = violations = noise = 0
+    # tally holds the underflow, the bins and the overflow (NaN sorts last, into it);
+    # signs the violations (below -tolerance), the noise (below 0) and the rest
+    tally = np.zeros(edges.size + 1, dtype=np.int64)
+    signs = np.zeros(3, dtype=np.int64)
+    cuts = np.array([-tolerance, 0.0])
     smallest: list[TriangleSample] = []
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
@@ -164,20 +166,14 @@ def _shard(
         # state entropies come from the sampled spectra (rho = U diag(lam) U†)
         d = np.sqrt(qjsd_sides(rhos, spectra=lams))
         defects = d[:, 0] + d[:, 1] - d[:, 2]
-
-        pos = np.searchsorted(edges, defects, side="right") - 1
-        underflow += int(np.count_nonzero(pos < 0))
-        overflow += int(np.count_nonzero(pos >= nbins))
-        inside = (pos >= 0) & (pos < nbins)
-        counts += np.bincount(pos[inside], minlength=nbins)
-        violations += int(np.count_nonzero(defects < -tolerance))
-        noise += int(np.count_nonzero((defects < 0.0) & (defects >= -tolerance)))
+        tally += np.bincount(np.searchsorted(edges, defects, side="right"), minlength=tally.size)
+        signs += np.bincount(np.searchsorted(cuts, defects, side="right"), minlength=3)
         order = np.argsort(defects, kind="stable")[:_K_SMALLEST]
         smallest = _by_defect(
             smallest + [TriangleSample(float(defects[j]), lo + int(j), int(seeds[j])) for j in order]
         )
-    hist = Histogram(edges, counts, underflow, overflow, total=stop - start)
-    return hist, violations, noise, smallest
+    hist = Histogram(edges, tally[1:-1], int(tally[0]), int(tally[-1]), total=stop - start)
+    return hist, int(signs[0]), int(signs[1]), smallest
 
 
 def run_audit(
@@ -198,8 +194,7 @@ def run_audit(
     noise. The report is identical for any worker count.
     """
     check_sampling(dim, mixedness_floor)
-    if samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {samples}")
+    check_count("samples", samples)
     if not 0.0 <= tolerance < math.inf:
         raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
     edges = histogram_edges(bin_width, tail_max)
@@ -233,8 +228,9 @@ def regenerate_triplet(dim: int, triplet_seed: int, mixedness_floor: float | Non
     """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample,
     bit for bit as the audit drew it, given the audit's dim and floor."""
     check_sampling(dim, mixedness_floor)
-    if not isinstance(triplet_seed, numbers.Integral) or not 0 <= triplet_seed < 2**64:
-        raise InvalidConfig(f"triplet_seed must be an integer in [0, 2**64), got {triplet_seed!r}")
+    check_count("triplet_seed", triplet_seed, least=0)
+    if triplet_seed >= 2**64:
+        raise InvalidConfig(f"triplet_seed must lie below 2**64, got {triplet_seed!r}")
     rhos, _ = _draw_triplets(np.array([triplet_seed], dtype=np.uint64), dim, mixedness_floor)
     return tuple(rhos[0])
 

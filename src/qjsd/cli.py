@@ -21,7 +21,7 @@ from . import anneal as anneal_mod
 from . import audit as audit_mod
 from . import divergences as div
 from .errors import DimMismatch, InvalidConfig, ParseError, QjsdError
-from .states import linear_entropy, read_state_file, sample_states, write_state_file
+from .states import check_count, linear_entropy, read_state_file, sample_states, write_state_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -118,8 +118,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {args.samples}")
+    check_count("samples", args.samples)
     prefix = args.out or "state"
     for lo in range(0, args.samples, SAMPLE_CHUNK):
         indices = np.arange(lo, min(lo + SAMPLE_CHUNK, args.samples))

@@ -20,10 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
+from .errors import DimMismatch, DomainError, SupportViolation, Undefined
 from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, sqrt_from_eigh
 from .states import (
     CounterStream,
+    check_count,
     check_density,
     check_povm,
     check_pure_state,
@@ -118,25 +119,28 @@ def classical_jsd_sqrt_metric_check(triplets) -> float:
     """Worst triangle defect of sqrt(JSD) over (p, r, q) triplets.
 
     Returns min over triplets of sqrt(D(p,r)) + sqrt(D(r,q)) - sqrt(D(p,q)),
-    with r the pivot. Nonnegative for every input (sqrt(JSD) is a metric on
-    distributions), so anything below -1e-12 would be a counterexample.
+    with r the pivot, and inf for no triplets. Nonnegative for every input
+    (sqrt(JSD) is a metric on distributions), so anything below -1e-12 would
+    be a counterexample. All vectors must have one length; the 3T sides of T
+    triplets go through one _jsd_from_probs call, bit for bit as classical_jsd.
     """
-    worst = np.inf
-    for p, r, q in triplets:
-        d = (
-            np.sqrt(classical_jsd(p, r))
-            + np.sqrt(classical_jsd(r, q))
-            - np.sqrt(classical_jsd(p, q))
-        )
-        worst = min(worst, float(d))
-    return worst
+    trips = [[check_prob_vector(v) for v in (p, r, q)] for p, r, q in triplets]
+    if not trips:
+        return math.inf
+    if len({v.size for t in trips for v in t}) > 1:
+        raise DimMismatch(f"vector lengths {sorted({v.size for t in trips for v in t})} differ")
+    stack = np.array(trips)  # (T, 3, n): p, r, q
+    d = np.sqrt(_jsd_from_probs(stack[:, [0, 1, 0]], stack[:, [1, 2, 2]]))
+    return float(np.min(d[:, 0] + d[:, 1] - d[:, 2]))
 
 
 def schoenberg_check(coefficients, distributions) -> float:
     """Negative-definite-kernel form sum_ij c_i c_j D(P_i, P_j).
 
-    Requires sum_i c_i = 0 (within 1e-12) and at least two distributions.
-    For the classical JSD the result is <= 0 up to round-off.
+    Requires sum_i c_i = 0 (within 1e-12) and at least two distributions,
+    all of one length. For the classical JSD the result is <= 0 up to
+    round-off. The D(P_i, P_j), i < j, come from one _jsd_from_probs call
+    over the stacked pairs and are summed in row-major order of (i, j).
     """
     c = np.asarray(coefficients, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
@@ -148,11 +152,11 @@ def schoenberg_check(coefficients, distributions) -> float:
         raise DimMismatch("one distribution per coefficient required")
     if len({p.size for p in ps}) > 1:
         raise DimMismatch(f"distribution lengths {sorted({p.size for p in ps})} differ")
-    k = c.size
+    iu, ju = np.triu_indices(c.size, 1)
+    p = np.array(ps)
     total = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += 2.0 * c[i] * c[j] * _jsd_from_probs(ps[i], ps[j])
+    for ci, cj, d in zip(c[iu].tolist(), c[ju].tolist(), _jsd_from_probs(p[iu], p[ju]).tolist()):
+        total += 2.0 * ci * cj * d
     return total  # diagonal terms vanish: D(P, P) = 0
 
 
@@ -384,10 +388,8 @@ def pure_triangle_scan(grid_steps: int, x_steps: int = 20) -> ScanResult:
     z = |conj(a) x + conj(b)| and the defect is g = sqrt(phi(y)) +
     sqrt(phi(z)) - sqrt(phi(x)). Returns the minimum and its location.
     """
-    if grid_steps < 2:
-        raise InvalidConfig(f"grid_steps must be >= 2, got {grid_steps}")
-    if x_steps < 2:
-        raise InvalidConfig(f"x_steps must be >= 2, got {x_steps}")
+    check_count("grid_steps", grid_steps, least=2)
+    check_count("x_steps", x_steps, least=2)
     radii = np.linspace(0.0, 1.0, grid_steps)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_steps, endpoint=False)
     disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -477,8 +479,7 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     That needs no PSD check: the projectors of a basis that passes
     check_unitary are PSD, and their outcome laws sum to 1 up to round-off.
     """
-    if restarts < 1:
-        raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
+    check_count("restarts", restarts)
     a, b, _, eigenbases = _pair_eigh(*_pair_key(rho, sigma))
     n = a.shape[0]
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)

@@ -31,6 +31,7 @@ reproducible state by state, whichever worker draws it.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -98,8 +99,7 @@ def map_groups(fn, n_tasks: int, workers: int) -> list:
     or a functools.partial of one, binding only picklable values, not a
     lambda or a closure.
     """
-    if workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers)
     k = max(1, min(workers, n_tasks, available_cpus()))
     groups = [range(n_tasks * g // k, n_tasks * (g + 1) // k) for g in range(k)]
     if k == 1:
@@ -111,6 +111,12 @@ def map_groups(fn, n_tasks: int, workers: int) -> list:
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """InvalidConfig unless value is an integer >= least; a bool or a float is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+
 
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD up to round-off."""
@@ -211,7 +217,8 @@ def purification(rho, v) -> np.ndarray:
 def partial_trace_second(psi, dim_a: int) -> np.ndarray:
     """Reduced density matrix on the first factor of a bipartite pure state."""
     v = check_pure_state(psi)
-    if dim_a < 1 or v.size % dim_a != 0:
+    check_count("dim_a", dim_a)
+    if v.size % dim_a != 0:
         raise DimMismatch(f"vector of size {v.size} does not factor as {dim_a} x b")
     r = v.reshape(dim_a, v.size // dim_a)
     return r @ r.conj().T
@@ -286,6 +293,7 @@ def draw_state_params(stream, dim, mixedness_floor=None):
     is accepted. Only the stream's standard_exponential and standard_normal
     are called, so a wrapper that forwards those two methods can stand in.
     """
+    dim = int(dim)  # a numpy integer would promote the uint64 slot sums below to float64
     base = 2 * dim * dim
     comps = np.arange(dim, dtype=np.uint64)
     lam = stream.standard_exponential(base + comps)
@@ -314,9 +322,9 @@ def states_from_params(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def check_sampling(dim: int, mixedness_floor: float | None = None) -> None:
-    """Reject a dimension below 2, or a mixedness floor no state can reach."""
-    if dim < 2:
-        raise InvalidConfig(f"dim must be >= 2, got {dim}")
+    """Reject a dimension that is not an integer >= 2, or a mixedness floor
+    no state can reach."""
+    check_count("dim", dim, least=2)
     # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
     # state, so a higher floor would reject every draw until the budget ends
     if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:

@@ -280,6 +280,14 @@ def test_run_anneal_rejects_bad_config():
             run_anneal("single", 2, schedule=_FAST, restarts=restarts)
     with pytest.raises(InvalidConfig):
         minimize(lambda x: x[:, 0], 1, _FAST, restarts=2.0)
+    for n_params in (0, 2.5, 2.0, True):
+        with pytest.raises(InvalidConfig):
+            minimize(lambda x: x[:, 0], n_params, _FAST)
+    for kw in ({"dim": 2.0}, {"workers": 1.5}):
+        with pytest.raises(InvalidConfig):
+            run_anneal(**{"objective": "single", "dim": 2, "schedule": _FAST, **kw})
+    got = run_anneal("single", np.int64(2), schedule=_FAST, restarts=np.int64(1), workers=np.int64(1))
+    assert got.best_objective == run_anneal("single", 2, schedule=_FAST).best_objective
 
 
 def test_result_dict_shape():

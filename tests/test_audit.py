@@ -213,11 +213,19 @@ def test_invalid_configs():
         run_audit(dim=2, samples=1, seed=0, mixedness_floor=0.6)
     with pytest.raises(InvalidConfig):
         run_audit(dim=3, samples=1, seed=0, mixedness_floor=1.0 - 1.0 / 3.0)  # only 1/3 reaches it
+    for kw in ({"samples": True}, {"samples": 2.0}, {"samples": 10.5}, {"dim": 2.0}, {"workers": 1.5}):
+        with pytest.raises(InvalidConfig):  # a bool or a float is not a count
+            run_audit(**{"dim": 2, "samples": 10, "seed": 0, **kw})
     with pytest.raises(InvalidConfig):
         regenerate_triplet(2, 5, 1.5)
-    for dim, triplet_seed in [(0, 5), (1, 5), (2, -1), (2, 2**64), (2, 2.0)]:
+    for dim, triplet_seed in [(0, 5), (1, 5), (2, -1), (2, 2**64), (2, 2.0), (2, True), (2.0, 5)]:
         with pytest.raises(InvalidConfig):
             regenerate_triplet(dim, triplet_seed)
+    # numpy integers are counts; a numpy dim used to turn the uint64 sampler slots into floats
+    assert report_to_dict(run_audit(np.int64(2), np.int64(10), 0, workers=np.int64(1))) == report_to_dict(
+        run_audit(2, 10, 0)
+    )
+    assert np.array_equal(regenerate_triplet(np.int64(2), np.uint64(5)), regenerate_triplet(2, 5))
 
 
 def test_audit_worker_count_invariance_with_floor():

@@ -94,6 +94,9 @@ def test_metric_check_degenerate_triplets():
     assert classical_jsd_sqrt_metric_check([(p, p, p)]) == 0.0
     q = np.array([0.9, 0.1])
     assert classical_jsd_sqrt_metric_check([(p, p, q)]) == pytest.approx(0.0, abs=1e-15)
+    assert classical_jsd_sqrt_metric_check([]) == np.inf
+    with pytest.raises(DimMismatch):  # the triplets are stacked, so one length throughout
+        classical_jsd_sqrt_metric_check([(p, p, q), (p, p, np.array([1.0]))])
 
 
 def test_metric_check_random_dim4():
@@ -110,6 +113,7 @@ def test_schoenberg_all_equal():
 def test_schoenberg_two_point_expansion():
     p, q = np.array([0.9, 0.1]), np.array([0.2, 0.8])
     got = schoenberg_check([1.0, -1.0], [p, q])
+    assert type(got) is float
     assert got == pytest.approx(-2.0 * classical_jsd(p, q), abs=1e-14)
     assert got <= 0.0
 

@@ -26,7 +26,7 @@ from qjsd.divergences import (
     von_neumann_entropy,
     wootters_distance,
 )
-from qjsd.errors import DimMismatch, DomainError, SupportViolation
+from qjsd.errors import DimMismatch, DomainError, InvalidConfig, SupportViolation
 from qjsd.states import (
     CounterStream,
     density_from_pure,
@@ -299,6 +299,10 @@ def test_scan_fine_grid_nonnegative_and_degenerate_argmin():
 def test_scan_rejects_tiny_grid():
     with pytest.raises(ValueError):
         pure_triangle_scan(1)
+    for args in ((2.5,), (3, 3.0), (True,), (3, True)):
+        with pytest.raises(InvalidConfig):
+            pure_triangle_scan(*args)
+    assert pure_triangle_scan(np.int64(3), np.int64(3)) == pure_triangle_scan(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +432,14 @@ def test_djs1_eigensolves_only_the_four_derived_operators(monkeypatch):
         calls.clear()
         djs1_lower_bound(a, b, restarts=3)
         assert calls == [("eigh", (4,) + a.shape)]
+
+
+def test_djs1_rejects_a_non_count(rng):
+    a, b = rand_density(rng, 2), rand_density(rng, 2)
+    for restarts in (0, 2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidConfig):
+            djs1_lower_bound(a, b, restarts=restarts)
+    assert djs1_lower_bound(a, b, restarts=np.int64(2)) == djs1_lower_bound(a, b, restarts=2)
 
 
 def test_djs1_accepts_states_qjsd_accepts():

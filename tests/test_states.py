@@ -166,7 +166,8 @@ def test_sample_states_subset_matches_full_range(dim, floor):
         assert np.array_equal(sample_states(dim, 3, [i], floor)[0], full[i])
 
 
-@pytest.mark.parametrize("dim, floor", [(1, None), (0, None), (2, -0.1), (2, 0.5), (3, 1.5)])
+@pytest.mark.parametrize("dim, floor", [(1, None), (0, None), (2, -0.1), (2, 0.5), (3, 1.5), (2.5, None),
+                                        (2.0, None), (True, None)])
 def test_sample_states_checks_dim_and_floor(dim, floor):
     with pytest.raises(InvalidConfig):
         sample_states(dim, 0, [0], floor)
@@ -370,6 +371,9 @@ def test_partial_trace_bell_state():
 def test_partial_trace_dim_mismatch(rng):
     with pytest.raises(DimMismatch):
         partial_trace_second(rand_pure(rng, 6), 4)
+    for dim_a in (0, 1.5, 2.0, True):
+        with pytest.raises(InvalidConfig):
+            partial_trace_second(rand_pure(rng, 6), dim_a)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,8 @@ def test_partial_trace_dim_mismatch(rng):
 
 @pytest.mark.parametrize(
     "n_tasks, workers, cpus",
-    [(10, 3, 8), (10, 8, 3), (2, 5, 8), (7, 7, 64), (1000, 4, 4), (5, 1, 8), (1, 4, 4), (9, 4, 1)],
+    [(10, 3, 8), (10, 8, 3), (2, 5, 8), (7, 7, 64), (1000, 4, 4), (5, 1, 8), (1, 4, 4), (9, 4, 1),
+     (10, np.int64(3), 8)],
 )
 def test_map_groups_splits_contiguously(monkeypatch, pool_sizes, n_tasks, workers, cpus):
     monkeypatch.setattr(states_mod, "available_cpus", lambda: cpus)
@@ -392,7 +397,7 @@ def test_map_groups_splits_contiguously(monkeypatch, pool_sizes, n_tasks, worker
     assert pool_sizes == ([k] if k > 1 else [])
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
 def test_map_groups_rejects_fewer_than_one_worker(pool_sizes, workers):
     with pytest.raises(InvalidConfig, match="workers"):
         map_groups(list, 4, workers)

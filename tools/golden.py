@@ -20,7 +20,11 @@ The set:
 - `repr(triangle_defect(*t))` of the same inputs' 210 triplets, concatenated;
 - `repr(d_h_by_optimization(rho, sigma, restarts=2, seed=k))` on a short fixed
   schedule, of the same inputs' four dim-2 and four dim-3 pairs, pair k of a
-  dim with seed k, concatenated.
+  dim with seed k, concatenated;
+- `repr(float(...))` of `classical_jsd_sqrt_metric_check` on single triplets
+  and on batches, and of `schoenberg_check`, on probability vectors drawn
+  from `np.random.default_rng(CLASSICAL_SEED)`, some with zero entries,
+  concatenated.
 
 The manifest is keyed by the audit's `sampler_version`, since a new sampler
 changes the audit and sample outputs on purpose, and it records the numpy
@@ -59,6 +63,7 @@ AUDITS = [  # (name, dim, samples, extra options)
 ANNEAL_OPTIONS = ["--seed", "4", "--restarts", "2", "--steps-per-temp", "100", "--t-initial", "1",
                   "--t-final", "1e-5", "--cooling-ratio", "0.8", "--proposal-scale", "3"]
 DH_SCHEDULE = AnnealSchedule(50, t_initial=1.0, t_final=1e-4, cooling_ratio=0.7, proposal_scale_ratio=3.0)
+CLASSICAL_SEED = 7707
 WORKERS = (1, 2)
 SPLIT = "differs between worker counts"
 
@@ -91,6 +96,31 @@ def by_workers(argv: list, files: dict) -> dict:
     return {name: h if all(r[name] == h for r in runs) else SPLIT for name, h in runs[0].items()}
 
 
+def classical_values() -> list:
+    """The classical checks on fixed inputs: lengths 2 to 17, some entries zero."""
+    rng = np.random.default_rng(CLASSICAL_SEED)
+
+    def law(n):
+        v = rng.dirichlet(np.ones(n))
+        v[rng.random(n) < 0.2] = 0.0
+        return v / v.sum() if v.sum() > 0 else np.eye(n)[0]
+
+    out = []
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        p, r, q = law(n), law(n), law(n)
+        out.append(divergences.classical_jsd_sqrt_metric_check([(p, r, q)]))
+        out.append(divergences.classical_jsd_sqrt_metric_check([(p, p, q), (p, r, r)]))
+    for n, t in ((4, 500), (4, 500), (3, 200), (17, 100)):
+        out.append(divergences.classical_jsd_sqrt_metric_check([(law(n), law(n), law(n)) for _ in range(t)]))
+    for _ in range(300):
+        k, n = int(rng.integers(2, 8)), int(rng.integers(2, 10))
+        c = rng.standard_normal(k)
+        c -= c.mean()
+        out.append(divergences.schoenberg_check(c, [law(n) for _ in range(k)]))
+    return out
+
+
 def collect(tmp: Path) -> dict:
     """{entry name: SHA-256 hex digest, or SPLIT}."""
     out = {}
@@ -111,6 +141,7 @@ def collect(tmp: Path) -> dict:
     dh = [divergences.d_h_by_optimization(rho, sigma, restarts=2, seed=k, schedule=DH_SCHEDULE)
           for dim in (2, 3) for k, (rho, sigma) in enumerate(inputs.dh_pairs[dim])]
     out["dh"] = sha256("".join(map(repr, dh)).encode())
+    out["classical"] = sha256("".join(repr(float(v)) for v in classical_values()).encode())
     return out
 
 

@@ -15,7 +15,6 @@ from .audit import (
     AuditReport,
     Histogram,
     TriangleSample,
-    histogram_merge,
     regenerate_triplet,
     run_audit,
     triangle_defect,

@@ -22,7 +22,7 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
-from .states import check_count, check_sampling, derive_seed, map_groups, state_to_dict
+from .states import check_count, check_sampling, check_seed, derive_seed, map_groups, state_to_dict
 
 _TRACE_FLOOR = 1e-30
 
@@ -127,8 +127,9 @@ def _chains(
     n_params: int,
     schedule: AnnealSchedule,
     seed: int,
-    canonicalize: Callable[[np.ndarray], np.ndarray] | None,
     restarts: Sequence[int],
+    *,
+    canonicalize: Callable[[np.ndarray], np.ndarray],
 ) -> list[tuple[float, np.ndarray, list[float]]]:
     """Metropolis chains of the listed restarts through the cooling schedule,
     advanced in lockstep as the rows of one array; returns each one's
@@ -142,9 +143,7 @@ def _chains(
     company and in any process.
     """
     rngs = [np.random.default_rng(derive_seed(seed, r)) for r in restarts]
-    x = np.stack([rng.standard_normal(n_params) for rng in rngs])
-    if canonicalize is not None:
-        x = canonicalize(x)
+    x = canonicalize(np.stack([rng.standard_normal(n_params) for rng in rngs]))
     fx = objective(x).tolist()
     best_f, best_x = list(fx), x.copy()
     cand = np.empty_like(x)
@@ -164,7 +163,7 @@ def _chains(
                 if c <= f or delta < 700.0 and rngs[i].random() < math.exp(-delta):
                     accept.append(i)
             if accept:
-                kept = cand if canonicalize is None else canonicalize(cand)
+                kept = canonicalize(cand)
                 for i in accept:
                     x[i] = kept[i]
                     fx[i] = fc[i]
@@ -182,7 +181,8 @@ def minimize(
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
     restarts: int = 1,
-    canonicalize: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    canonicalize: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
 ) -> tuple[float, np.ndarray, list[list[float]]]:
     """Best-of-restarts annealing; returns the best objective, its parameters
@@ -190,7 +190,7 @@ def minimize(
 
     The restarts run in lockstep as the rows of one (restarts, n_params)
     array. So `objective` maps rows (K, n_params) to values (K,), and
-    `canonicalize`, a decode-equivalent gauge applied to accepted points,
+    `canonicalize`, a decode-equivalent gauge applied to every point kept,
     maps rows to rows; both must treat each row as they would treat it
     alone. The outcome is then bit-identical to running each restart alone.
 
@@ -200,12 +200,12 @@ def minimize(
     groups by states.map_groups, whose picklability rule then applies to
     `objective` and `canonicalize`.
     """
-    check_count("n_params", n_params)
+    n_params = check_count("n_params", n_params)
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
     schedule.validate()
-    check_count("restarts", restarts)
-    chains = partial(_chains, objective, n_params, schedule, seed, canonicalize)
+    restarts = check_count("restarts", restarts)
+    chains = partial(_chains, objective, n_params, schedule, seed, canonicalize=canonicalize)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals
     return best_f, best_x, [trace for _, _, trace in outcomes]
@@ -240,13 +240,13 @@ def run_anneal(
     """
     if objective not in _OBJECTIVES:
         raise InvalidConfig(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
-    check_sampling(dim)
+    dim, seed = check_sampling(dim), check_seed(seed)
     n_params = 6 * dim * dim
     if schedule is None:  # resolved here too: the result records it
         schedule = AnnealSchedule.defaults_for(n_params)
     best_f, best_x, traces = minimize(
         partial(_OBJECTIVES[objective], dim=dim), n_params, schedule, seed, restarts,
-        partial(_normalize_blocks, dim=dim), workers,
+        canonicalize=partial(_normalize_blocks, dim=dim), workers=workers,
     )
     states = list(_decode_triplet(best_x, dim))
     if objective == "single":

@@ -19,17 +19,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides, qjsd_sqrt
-from .errors import DimMismatch, EdgeMismatch, InvalidConfig
+from .errors import DimMismatch, InvalidConfig
 from .states import (
     CounterStream,
     check_count,
     check_sampling,
+    check_seed,
     derive_seed,
     draw_state_params,
     map_groups,
@@ -92,19 +93,6 @@ def histogram_edges(bin_width: float, tail_max: float) -> np.ndarray:
     return -tail_max + bin_width * np.arange(nbins + 1)
 
 
-def histogram_merge(a: Histogram, b: Histogram) -> Histogram:
-    """Componentwise sum of two histograms over identical edges."""
-    if a.bin_edges.shape != b.bin_edges.shape or not np.array_equal(a.bin_edges, b.bin_edges):
-        raise EdgeMismatch("histograms have different bin edges")
-    return Histogram(
-        bin_edges=a.bin_edges,
-        counts=a.counts + b.counts,
-        underflow_count=a.underflow_count + b.underflow_count,
-        overflow_count=a.overflow_count + b.overflow_count,
-        total=a.total + b.total,
-    )
-
-
 @dataclass(frozen=True)
 class TriangleSample:
     """One audited triplet: its defect and the seed that regenerates it."""
@@ -148,10 +136,10 @@ def _draw_triplets(seeds: np.ndarray, dim: int, floor: float | None):
 
 def _shard(
     dim, seed, floor, samples, edges, tolerance, chunks: range
-) -> tuple[Histogram, int, int, list[TriangleSample]]:
+) -> tuple[np.ndarray, np.ndarray, list[TriangleSample]]:
     """Audit the triplets of the given chunks, _CHUNK triplet indices each and
-    none past `samples`; returns the histogram, the violation and noise
-    counts, and the smallest defects."""
+    none past `samples`; returns the tally and signs count arrays (see
+    below) and the smallest defects."""
     start, stop = chunks.start * _CHUNK, min(chunks.stop * _CHUNK, samples)
     # tally holds the underflow, the bins and the overflow (NaN sorts last, into it);
     # signs the violations (below -tolerance), the noise (below 0) and the rest
@@ -172,8 +160,7 @@ def _shard(
         smallest = _by_defect(
             smallest + [TriangleSample(float(defects[j]), lo + int(j), int(seeds[j])) for j in order]
         )
-    hist = Histogram(edges, tally[1:-1], int(tally[0]), int(tally[-1]), total=stop - start)
-    return hist, int(signs[0]), int(signs[1]), smallest
+    return tally, signs, smallest
 
 
 def run_audit(
@@ -193,8 +180,8 @@ def run_audit(
     count as violations; defects in (-tolerance, 0) are logged as round-off
     noise. The report is identical for any worker count.
     """
-    check_sampling(dim, mixedness_floor)
-    check_count("samples", samples)
+    dim = check_sampling(dim, mixedness_floor)
+    samples, seed = check_count("samples", samples), check_seed(seed)
     if not 0.0 <= tolerance < math.inf:
         raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
     edges = histogram_edges(bin_width, tail_max)
@@ -203,8 +190,8 @@ def run_audit(
     # floating-point result, match the single-worker run exactly
     shard = partial(_shard, dim, seed, mixedness_floor, samples, edges, tolerance)
     parts = map_groups(shard, (samples + _CHUNK - 1) // _CHUNK, workers)
-    hists, violations, noise, tops = zip(*parts)
-    violations, noise = sum(violations), sum(noise)
+    tallies, signs, tops = zip(*parts)
+    tally, (violations, noise, _) = sum(tallies), sum(signs).tolist()
 
     if noise:
         log.info("dim=%d seed=%d: %d defects in (-%g, 0) attributed to round-off", dim, seed, noise, tolerance)
@@ -218,7 +205,7 @@ def run_audit(
         tolerance=tolerance,
         violations=violations,
         noise_negatives=noise,
-        histogram=reduce(histogram_merge, hists),
+        histogram=Histogram(edges, tally[1:-1], int(tally[0]), int(tally[-1]), total=samples),
         smallest=tuple(_by_defect(s for top in tops for s in top)),
         mixedness_floor=mixedness_floor,
     )
@@ -227,8 +214,8 @@ def run_audit(
 def regenerate_triplet(dim: int, triplet_seed: int, mixedness_floor: float | None = None):
     """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample,
     bit for bit as the audit drew it, given the audit's dim and floor."""
-    check_sampling(dim, mixedness_floor)
-    check_count("triplet_seed", triplet_seed, least=0)
+    dim = check_sampling(dim, mixedness_floor)
+    triplet_seed = check_count("triplet_seed", triplet_seed, least=0)
     if triplet_seed >= 2**64:
         raise InvalidConfig(f"triplet_seed must lie below 2**64, got {triplet_seed!r}")
     rhos, _ = _draw_triplets(np.array([triplet_seed], dtype=np.uint64), dim, mixedness_floor)

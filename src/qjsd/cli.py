@@ -21,7 +21,7 @@ from . import anneal as anneal_mod
 from . import audit as audit_mod
 from . import divergences as div
 from .errors import DimMismatch, InvalidConfig, ParseError, QjsdError
-from .states import check_count, linear_entropy, read_state_file, sample_states, write_state_file
+from .states import check_count, check_sampling, linear_entropy, read_state_file, sample_states, write_state_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -71,7 +71,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_anneal(args) -> int:
-    n_params = 6 * args.dim * args.dim
+    n_params = 6 * check_sampling(args.dim) ** 2  # dim first: the default schedule is built from it
     schedule = _schedule_from(args, n_params)
     result = anneal_mod.run_anneal(
         objective=args.objective,

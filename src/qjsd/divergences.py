@@ -28,6 +28,7 @@ from .states import (
     check_density,
     check_povm,
     check_pure_state,
+    check_seed,
     check_unitary,
     derive_seed,
     purification,
@@ -388,8 +389,8 @@ def pure_triangle_scan(grid_steps: int, x_steps: int = 20) -> ScanResult:
     z = |conj(a) x + conj(b)| and the defect is g = sqrt(phi(y)) +
     sqrt(phi(z)) - sqrt(phi(x)). Returns the minimum and its location.
     """
-    check_count("grid_steps", grid_steps, least=2)
-    check_count("x_steps", x_steps, least=2)
+    grid_steps = check_count("grid_steps", grid_steps, least=2)
+    x_steps = check_count("x_steps", x_steps, least=2)
     radii = np.linspace(0.0, 1.0, grid_steps)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_steps, endpoint=False)
     disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -479,7 +480,7 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     That needs no PSD check: the projectors of a basis that passes
     check_unitary are PSD, and their outcome laws sum to 1 up to round-off.
     """
-    check_count("restarts", restarts)
+    restarts, seed = check_count("restarts", restarts), check_seed(seed)
     a, b, _, eigenbases = _pair_eigh(*_pair_key(rho, sigma))
     n = a.shape[0]
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
@@ -548,6 +549,7 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     """
     from .anneal import minimize  # deferred: anneal imports this module
 
+    seed = check_seed(seed)
     a, b = _two_states(rho, sigma)
     n = a.shape[0]
     psi = purification(a, np.eye(n))  # validates a as a density matrix

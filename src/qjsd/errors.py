@@ -45,10 +45,6 @@ class DegenerateBlock(QjsdError):
     """A parameter block decodes to a matrix with vanishing trace."""
 
 
-class EdgeMismatch(QjsdError):
-    """Histograms with different bin edges cannot be merged."""
-
-
 class InvalidConfig(QjsdError, ValueError):
     """A run configuration or argument violates a precondition."""
 

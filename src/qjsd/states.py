@@ -69,16 +69,13 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-def derive_seed(seed, *indices):
-    """Stable 64-bit hash of (seed, *indices), used to derive RNG sub-streams.
+def derive_seed(seed, index):
+    """Stable 64-bit hash of (seed, index), used to derive RNG sub-streams.
 
     Takes Python ints, or uint64 arrays that broadcast together; an array
     element hashes to the same value as the int.
     """
-    x = seed & _MASK64
-    for k in indices:
-        x = _mix64(x ^ _mix64((k + _GOLDEN) & _MASK64))
-    return x
+    return _mix64((seed & _MASK64) ^ _mix64((index + _GOLDEN) & _MASK64))
 
 
 def available_cpus() -> int:
@@ -99,7 +96,7 @@ def map_groups(fn, n_tasks: int, workers: int) -> list:
     or a functools.partial of one, binding only picklable values, not a
     lambda or a closure.
     """
-    check_count("workers", workers)
+    workers = check_count("workers", workers)
     k = max(1, min(workers, n_tasks, available_cpus()))
     groups = [range(n_tasks * g // k, n_tasks * (g + 1) // k) for g in range(k)]
     if k == 1:
@@ -112,10 +109,20 @@ def map_groups(fn, n_tasks: int, workers: int) -> list:
 # Validation
 # ---------------------------------------------------------------------------
 
-def check_count(name: str, value, least: int = 1) -> None:
-    """InvalidConfig unless value is an integer >= least; a bool or a float is not a count."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """value as an int; InvalidConfig unless it is an integer >= least. A bool
+    or a float is not a count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """seed as an int; InvalidConfig unless it is an integer. A bool or a
+    float is not a seed; a negative seed is masked to 64 bits by derive_seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 def check_density(rho) -> np.ndarray:
@@ -217,7 +224,7 @@ def purification(rho, v) -> np.ndarray:
 def partial_trace_second(psi, dim_a: int) -> np.ndarray:
     """Reduced density matrix on the first factor of a bipartite pure state."""
     v = check_pure_state(psi)
-    check_count("dim_a", dim_a)
+    dim_a = check_count("dim_a", dim_a)
     if v.size % dim_a != 0:
         raise DimMismatch(f"vector of size {v.size} does not factor as {dim_a} x b")
     r = v.reshape(dim_a, v.size // dim_a)
@@ -247,15 +254,15 @@ class CounterStream:
 
     The variate at (key, slot) is a pure function of the two, so a stream
     has no state to advance and a key gives the same bits at any position in
-    any batch. Each method takes a uint64 array of slots and the keys to draw
-    for (`rows`, an index into `keys`; all keys by default), and returns an
-    array of shape (number of keys,) + slots.shape.
+    any batch. Each method takes a uint64 array of slots and returns an array
+    of shape (number of keys,) + slots.shape; standard_exponential can draw
+    for some of the keys only (`rows`, an index into `keys`).
     """
 
     def __init__(self, keys):
         self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
 
-    def _uniform(self, slots, rows) -> np.ndarray:
+    def _uniform(self, slots, rows=None) -> np.ndarray:
         """53-bit uniforms in (0, 1] from the hash of (key, slot)."""
         keys = self.keys if rows is None else self.keys[rows]
         h = derive_seed(keys.reshape((-1,) + (1,) * slots.ndim), slots)
@@ -271,11 +278,11 @@ class CounterStream:
         np.log(u, out=u)
         return np.negative(u, out=u)
 
-    def standard_normal(self, slots, rows=None) -> np.ndarray:
+    def standard_normal(self, slots) -> np.ndarray:
         """Complex standard normals (x + iy)/sqrt(2), by Box-Muller on the
         uniforms at slots s and s + 1: sqrt(-ln u_s) exp(2 pi i u_{s+1})."""
-        r = np.sqrt(self.standard_exponential(slots, rows))
-        theta = self._uniform(slots + 1, rows)
+        r = np.sqrt(self.standard_exponential(slots))
+        theta = self._uniform(slots + 1)
         theta *= 2.0 * np.pi
         z = np.empty(r.shape, dtype=np.complex128)
         np.multiply(r, np.cos(theta), out=z.real)
@@ -293,7 +300,6 @@ def draw_state_params(stream, dim, mixedness_floor=None):
     is accepted. Only the stream's standard_exponential and standard_normal
     are called, so a wrapper that forwards those two methods can stand in.
     """
-    dim = int(dim)  # a numpy integer would promote the uint64 slot sums below to float64
     base = 2 * dim * dim
     comps = np.arange(dim, dtype=np.uint64)
     lam = stream.standard_exponential(base + comps)
@@ -321,14 +327,15 @@ def states_from_params(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (u * lam[..., None, :]) @ np.conj(np.swapaxes(u, -2, -1))
 
 
-def check_sampling(dim: int, mixedness_floor: float | None = None) -> None:
-    """Reject a dimension that is not an integer >= 2, or a mixedness floor
-    no state can reach."""
-    check_count("dim", dim, least=2)
+def check_sampling(dim: int, mixedness_floor: float | None = None) -> int:
+    """dim as an int; InvalidConfig for a dimension that is not an integer
+    >= 2, or a mixedness floor no state can reach."""
+    dim = check_count("dim", dim, least=2)
     # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
     # state, so a higher floor would reject every draw until the budget ends
     if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:
         raise InvalidConfig(f"mixedness_floor must lie in [0, 1 - 1/{dim}), got {mixedness_floor}")
+    return dim
 
 
 def sample_states(dim: int, seed: int, indices, mixedness_floor: float | None = None) -> np.ndarray:
@@ -339,8 +346,8 @@ def sample_states(dim: int, seed: int, indices, mixedness_floor: float | None = 
     a mixedness floor in [0, 1 - 1/dim), only states whose linear entropy
     1 - Tr(rho^2) reaches the floor are kept, by rejection.
     """
-    check_sampling(dim, mixedness_floor)
-    keys = derive_seed(seed, np.asarray(indices, dtype=np.uint64).reshape(-1))
+    dim = check_sampling(dim, mixedness_floor)
+    keys = derive_seed(check_seed(seed), np.asarray(indices, dtype=np.uint64).reshape(-1))
     return states_from_params(*draw_state_params(CounterStream(keys), dim, mixedness_floor))
 
 

@@ -139,7 +139,8 @@ def test_run_anneal_worker_invariance():
 @pytest.mark.parametrize("objective, dim", [(objective_single, 2), (objective_symmetrized, 3)])
 def test_lockstep_rows_match_lone_chains(objective, dim):
     n_params = 6 * dim * dim
-    chains = partial(_chains, partial(objective, dim=dim), n_params, _FAST, 5, partial(_normalize_blocks, dim=dim))
+    gauge = partial(_normalize_blocks, dim=dim)
+    chains = partial(_chains, partial(objective, dim=dim), n_params, _FAST, 5, canonicalize=gauge)
     together = chains([0, 1, 2, 3])
     for r, (best_f, best_x, trace) in enumerate(together):
         [(lone_f, lone_x, lone_trace)] = chains([r])
@@ -279,15 +280,17 @@ def test_run_anneal_rejects_bad_config():
         with pytest.raises(InvalidConfig):
             run_anneal("single", 2, schedule=_FAST, restarts=restarts)
     with pytest.raises(InvalidConfig):
-        minimize(lambda x: x[:, 0], 1, _FAST, restarts=2.0)
+        minimize(lambda x: x[:, 0], 1, _FAST, restarts=2.0, canonicalize=lambda x: x)
     for n_params in (0, 2.5, 2.0, True):
         with pytest.raises(InvalidConfig):
-            minimize(lambda x: x[:, 0], n_params, _FAST)
+            minimize(lambda x: x[:, 0], n_params, _FAST, canonicalize=lambda x: x)
     for kw in ({"dim": 2.0}, {"workers": 1.5}):
         with pytest.raises(InvalidConfig):
             run_anneal(**{"objective": "single", "dim": 2, "schedule": _FAST, **kw})
     got = run_anneal("single", np.int64(2), schedule=_FAST, restarts=np.int64(1), workers=np.int64(1))
-    assert got.best_objective == run_anneal("single", 2, schedule=_FAST).best_objective
+    want = run_anneal("single", 2, schedule=_FAST)
+    assert got.best_objective == want.best_objective
+    assert json.dumps(result_to_dict(got)) == json.dumps(result_to_dict(want))  # numpy counts come back as ints
 
 
 def test_result_dict_shape():

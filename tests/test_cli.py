@@ -225,6 +225,10 @@ def test_invalid_configuration_exits_64(tmp_path, capsys):
     assert main(anneal + ANNEAL_FAST[2:] + ["--t-initial", "1e-9"]) == 64
     assert main(anneal + ANNEAL_FAST + ["--workers", "0"]) == 64
     assert main(anneal + ANNEAL_FAST + ["--t-initial", "inf"]) == 64  # would never cool
+    capsys.readouterr()
+    for dim in ("0", "1"):  # dim is checked before the default schedule is built from it
+        assert main(["anneal", "--dim", dim, "--out", str(tmp_path / "y.json")]) == 64
+        assert "dim must be an integer >= 2" in capsys.readouterr().err
     out = str(tmp_path / "z")
     assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "1.5", "--out", out]) == 64
     assert main(["sample", "--dim", "2", "--samples", "1", "--mixedness-floor", "0.6", "--out", out]) == 64

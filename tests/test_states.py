@@ -5,6 +5,9 @@ import pytest
 from scipy import stats
 
 import qjsd.states as states_mod
+from qjsd.anneal import AnnealSchedule, result_to_dict, run_anneal
+from qjsd.audit import report_to_dict, run_audit
+from qjsd.divergences import d_h_by_optimization, djs1_lower_bound
 from qjsd.errors import (
     DimMismatch,
     InvalidConfig,
@@ -415,6 +418,36 @@ def test_derive_seed_is_stable():
     vals = {derive_seed(5, k) for k in range(1000)}
     assert len(vals) == 1000
     assert all(0 <= v < 2**64 for v in vals)
+    top = 2**64 - 1
+    known = {
+        (0, 0): 5197578548964807871,
+        (1, 2): 17474652204475260503,
+        (2, 1): 583880340377267059,
+        (5, 999): 15311471686981149260,
+        (top, top): 5066756352113716771,
+        (top, 0): 17492683508065611904,
+        (0, top): 4922461756044938104,
+        (-1, 3): 12829775716370249571,  # a negative seed is masked to 64 bits
+        (2**63, 7): 8456223730658713157,
+    }
+    assert {pair: derive_seed(*pair) for pair in known} == known
+    vec = derive_seed(7, np.array([0, 1, 2, top], dtype=np.uint64))
+    assert vec.tolist() == [236966933211079599, 12966676493058619558, 3270201391739464176, 18102033877536474386]
+    stream = CounterStream([derive_seed(5, 7), 0, top])
+    assert stream.standard_exponential(np.arange(3, dtype=np.uint64)).tolist() == [
+        [1.058487550558795, 0.5681117751066543, 2.405573196996302],
+        [1.2666950284719023, 0.14750728909146993, 0.10689886474542896],
+        [0.05310517368960958, 0.7818641250326247, 2.7229321504687167],
+    ]
+    assert stream.standard_exponential(np.array([4, 5], dtype=np.uint64), np.array([2, 0])).tolist() == [
+        [3.93910444741804, 0.046855471472090945],
+        [1.7584367873985085, 2.9963663412909702],
+    ]
+    assert stream.standard_normal(np.array([0, 2], dtype=np.uint64)).tolist() == [
+        [-0.9400715763749113 - 0.41803466584816146j, -1.5218710420003991 + 0.29913496705821807j],
+        [0.7328511209764701 - 0.8541804627568073j, 0.17325705662383012 - 0.277273974753268j],
+        [-0.2222979742987178 + 0.06073536294693715j, -0.5540470873835867 - 1.5543371498585759j],
+    ]
 
 
 def test_derive_seed_vectorized_matches_scalar():
@@ -428,6 +461,29 @@ def test_derive_seed_vectorized_matches_scalar():
     vec = derive_seed(np.array(big, dtype=np.uint64)[:, None], np.array(big[:3], dtype=np.uint64))
     assert vec.shape == (1000, 3)
     assert [[int(v) for v in row] for row in vec] == [[derive_seed(s, k) for k in big[:3]] for s in big]
+
+
+_TINY = AnnealSchedule(steps_per_temperature=5, t_initial=1.0, t_final=0.3, cooling_ratio=0.5)
+_PAIR = (np.diag([0.7, 0.3]).astype(complex), np.full((2, 2), 0.5, dtype=complex))
+# each entry point that takes a seed, as a function of the seed giving JSON text or bytes
+_SEEDED = {
+    "run_audit": lambda seed: json.dumps(report_to_dict(run_audit(2, 10, seed))),
+    "run_anneal": lambda seed: json.dumps(result_to_dict(run_anneal("single", 2, _TINY, seed))),
+    "sample_states": lambda seed: sample_states(2, seed, [0, 1]).tobytes(),
+    "djs1_lower_bound": lambda seed: repr(djs1_lower_bound(*_PAIR, restarts=2, seed=seed)),
+    "d_h_by_optimization": lambda seed: repr(d_h_by_optimization(*_PAIR, restarts=1, seed=seed, schedule=_TINY)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+def test_seed_contract(entry):
+    run = _SEEDED[entry]
+    # numpy integers are seeds and act as the int; a negative seed is masked to 64 bits
+    for numpy_seed, seed in [(np.int64(3), 3), (np.int64(-1), -1), (np.uint64(2**64 - 1), 2**64 - 1)]:
+        assert run(numpy_seed) == run(seed)
+    for bad in (2.5, True, "1"):
+        with pytest.raises(InvalidConfig, match="seed"):
+            run(bad)
 
 
 def test_state_file_roundtrip(tmp_path, rng):

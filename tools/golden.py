@@ -24,7 +24,9 @@ The set:
 - `repr(float(...))` of `classical_jsd_sqrt_metric_check` on single triplets
   and on batches, and of `schoenberg_check`, on probability vectors drawn
   from `np.random.default_rng(CLASSICAL_SEED)`, some with zero entries,
-  concatenated.
+  concatenated;
+- `qjsd purescan` with the default grid and with `--grid-steps 9 --x-steps 5`:
+  f"{status}\\n{stdout}" of each, concatenated.
 
 The manifest is keyed by the audit's `sampler_version`, since a new sampler
 changes the audit and sample outputs on purpose, and it records the numpy
@@ -64,6 +66,7 @@ ANNEAL_OPTIONS = ["--seed", "4", "--restarts", "2", "--steps-per-temp", "100", "
                   "--t-final", "1e-5", "--cooling-ratio", "0.8", "--proposal-scale", "3"]
 DH_SCHEDULE = AnnealSchedule(50, t_initial=1.0, t_final=1e-4, cooling_ratio=0.7, proposal_scale_ratio=3.0)
 CLASSICAL_SEED = 7707
+PURESCANS = ([], ["--grid-steps", 9, "--x-steps", 5])
 WORKERS = (1, 2)
 SPLIT = "differs between worker counts"
 
@@ -142,6 +145,8 @@ def collect(tmp: Path) -> dict:
           for dim in (2, 3) for k, (rho, sigma) in enumerate(inputs.dh_pairs[dim])]
     out["dh"] = sha256("".join(map(repr, dh)).encode())
     out["classical"] = sha256("".join(repr(float(v)) for v in classical_values()).encode())
+    scans = [run(["purescan", *extra]) for extra in PURESCANS]
+    out["purescan"] = sha256("".join(f"{status}\n{text}" for status, text in scans).encode())
     return out
 
 

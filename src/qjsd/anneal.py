@@ -13,7 +13,7 @@ inequality and is surfaced loudly by the CLI, never clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
-from .states import check_count, check_sampling, check_seed, derive_seed, map_groups, state_to_dict
+from .states import check_count, check_real, check_seed, derive_seed, map_groups, state_to_dict
 
 _TRACE_FLOOR = 1e-30
 
@@ -38,14 +38,15 @@ class AnnealSchedule:
     proposal_scale_ratio: float = 1.0
 
     def validate(self) -> "AnnealSchedule":
-        if not math.inf > self.t_initial > self.t_final > 0.0:  # an infinite t_initial never cools
-            raise InvalidConfig(f"need inf > t_initial > t_final > 0, got {self.t_initial}, {self.t_final}")
-        if not 0.0 < self.cooling_ratio < 1.0:
-            raise InvalidConfig(f"cooling_ratio must lie in (0, 1), got {self.cooling_ratio}")
-        check_count("steps_per_temperature", self.steps_per_temperature)
-        if not math.inf > self.proposal_scale_ratio > 0.0:
-            raise InvalidConfig(f"proposal_scale_ratio must lie in (0, inf), got {self.proposal_scale_ratio}")
-        return self
+        """This schedule with an int step count and float fields; InvalidConfig if one is out of range."""
+        return replace(
+            self,
+            steps_per_temperature=check_count("steps_per_temperature", self.steps_per_temperature),
+            t_final=check_real("t_final", self.t_final, 0.0),  # checked first: it bounds t_initial below
+            t_initial=check_real("t_initial", self.t_initial, self.t_final),  # an infinite t_initial never cools
+            cooling_ratio=check_real("cooling_ratio", self.cooling_ratio, 0.0, 1.0),
+            proposal_scale_ratio=check_real("proposal_scale_ratio", self.proposal_scale_ratio, 0.0),
+        )
 
     @classmethod
     def defaults_for(cls, n_params: int) -> "AnnealSchedule":
@@ -203,7 +204,7 @@ def minimize(
     n_params = check_count("n_params", n_params)
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
-    schedule.validate()
+    schedule = schedule.validate()
     restarts = check_count("restarts", restarts)
     chains = partial(_chains, objective, n_params, schedule, seed, canonicalize=canonicalize)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
@@ -240,10 +241,11 @@ def run_anneal(
     """
     if objective not in _OBJECTIVES:
         raise InvalidConfig(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
-    dim, seed = check_sampling(dim), check_seed(seed)
+    dim, seed = check_count("dim", dim, least=2), check_seed(seed)
     n_params = 6 * dim * dim
-    if schedule is None:  # resolved here too: the result records it
+    if schedule is None:  # resolved and checked here too: the result records it
         schedule = AnnealSchedule.defaults_for(n_params)
+    schedule = schedule.validate()
     best_f, best_x, traces = minimize(
         partial(_OBJECTIVES[objective], dim=dim), n_params, schedule, seed, restarts,
         canonicalize=partial(_normalize_blocks, dim=dim), workers=workers,

@@ -17,8 +17,7 @@ numpy Generator, so its triplet seeds do not regenerate under version 2.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import DimMismatch, InvalidConfig
 from .states import (
     CounterStream,
     check_count,
+    check_real,
     check_sampling,
     check_seed,
     derive_seed,
@@ -81,10 +81,7 @@ class Histogram:
 
 def histogram_edges(bin_width: float, tail_max: float) -> np.ndarray:
     """Edges tiling [-tail_max, tail_max) in steps of bin_width."""
-    if not (0.0 < bin_width < math.inf and 0.0 < tail_max < math.inf):
-        raise InvalidConfig(
-            f"bin_width and tail_max must be positive and finite, got {bin_width}, {tail_max}"
-        )
+    bin_width, tail_max = check_real("bin_width", bin_width, 0.0), check_real("tail_max", tail_max, 0.0)
     nbins = int(round(2.0 * tail_max / bin_width))
     if nbins < 1 or abs(nbins * bin_width - 2.0 * tail_max) > 1e-9:
         raise InvalidConfig(
@@ -104,6 +101,9 @@ class TriangleSample:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The outcome of run_audit. Its fields, and those of its Histogram and
+    TriangleSamples, are the keys of the audit JSON file (see report_to_dict)."""
+
     dim: int
     samples: int
     seed: int
@@ -180,10 +180,9 @@ def run_audit(
     count as violations; defects in (-tolerance, 0) are logged as round-off
     noise. The report is identical for any worker count.
     """
-    dim = check_sampling(dim, mixedness_floor)
+    dim, mixedness_floor = check_sampling(dim, mixedness_floor)
     samples, seed = check_count("samples", samples), check_seed(seed)
-    if not 0.0 <= tolerance < math.inf:
-        raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
+    tolerance = check_real("tolerance", tolerance, 0.0, inclusive=True)
     edges = histogram_edges(bin_width, tail_max)
 
     # shards are split by whole chunks so batch compositions, and hence every
@@ -214,7 +213,7 @@ def run_audit(
 def regenerate_triplet(dim: int, triplet_seed: int, mixedness_floor: float | None = None):
     """Rebuild the (rho, xi, sigma) triplet recorded for a TriangleSample,
     bit for bit as the audit drew it, given the audit's dim and floor."""
-    dim = check_sampling(dim, mixedness_floor)
+    dim, mixedness_floor = check_sampling(dim, mixedness_floor)
     triplet_seed = check_count("triplet_seed", triplet_seed, least=0)
     if triplet_seed >= 2**64:
         raise InvalidConfig(f"triplet_seed must lie below 2**64, got {triplet_seed!r}")
@@ -245,25 +244,9 @@ def histogram_csv(hist: Histogram) -> str:
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    return {
-        "sampler_version": SAMPLER_VERSION,
-        "dim": report.dim,
-        "samples": report.samples,
-        "seed": report.seed,
-        "tolerance": report.tolerance,
-        "violations": report.violations,
-        "noise_negatives": report.noise_negatives,
-        "min_defect": report.min_defect,
-        "mixedness_floor": report.mixedness_floor,
-        "histogram": {
-            "bin_edges": [float(e) for e in report.histogram.bin_edges],
-            "counts": [int(c) for c in report.histogram.counts],
-            "underflow_count": report.histogram.underflow_count,
-            "overflow_count": report.histogram.overflow_count,
-            "total": report.histogram.total,
-        },
-        "smallest_defects": [
-            {"defect": s.defect, "triplet_index": s.triplet_index, "triplet_seed": s.triplet_seed}
-            for s in report.smallest
-        ],
-    }
+    """The audit JSON object: the report's fields, with the histogram arrays as
+    lists and `smallest` as `smallest_defects`, plus min_defect and sampler_version."""
+    d = asdict(report)
+    d["histogram"].update(bin_edges=report.histogram.bin_edges.tolist(), counts=report.histogram.counts.tolist())
+    d["smallest_defects"] = list(d.pop("smallest"))
+    return {**d, "min_defect": report.min_defect, "sampler_version": SAMPLER_VERSION}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ from . import anneal as anneal_mod
 from . import audit as audit_mod
 from . import divergences as div
 from .errors import DimMismatch, InvalidConfig, ParseError, QjsdError
-from .states import check_count, check_sampling, linear_entropy, read_state_file, sample_states, write_state_file
+from .states import check_count, linear_entropy, read_state_file, sample_states, write_state_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -44,17 +45,15 @@ def _schedule_from(args, n_params: int) -> anneal_mod.AnnealSchedule:
     return dataclasses.replace(anneal_mod.AnnealSchedule.defaults_for(n_params), **given).validate()
 
 
+def _call(fn, args, **computed):
+    """fn called with the computed arguments, and each other parameter set to the parsed
+    option of its name; one with no option raises AttributeError, never takes its default."""
+    names = inspect.signature(fn).parameters.keys() - computed.keys()
+    return fn(**{k: getattr(args, k) for k in names}, **computed)
+
+
 def cmd_audit(args) -> int:
-    report = audit_mod.run_audit(
-        dim=args.dim,
-        samples=args.samples,
-        seed=args.seed,
-        bin_width=args.bin_width,
-        tail_max=args.tail_max,
-        tolerance=args.tolerance,
-        mixedness_floor=args.mixedness_floor,
-        workers=args.workers,
-    )
+    report = _call(audit_mod.run_audit, args)
     prefix = args.out or f"audit_dim{args.dim}_seed{args.seed}"
     with open(prefix + ".csv", "w", encoding="utf-8") as fh:
         fh.write(audit_mod.histogram_csv(report.histogram))
@@ -71,16 +70,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_anneal(args) -> int:
-    n_params = 6 * check_sampling(args.dim) ** 2  # dim first: the default schedule is built from it
-    schedule = _schedule_from(args, n_params)
-    result = anneal_mod.run_anneal(
-        objective=args.objective,
-        dim=args.dim,
-        schedule=schedule,
-        seed=args.seed,
-        restarts=args.restarts,
-        workers=args.workers,
-    )
+    n_params = 6 * check_count("dim", args.dim, least=2) ** 2  # dim first: the default schedule is built from it
+    result = _call(anneal_mod.run_anneal, args, schedule=_schedule_from(args, n_params))
     out = args.out or f"anneal_dim{args.dim}_seed{args.seed}.json"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(_dump(anneal_mod.result_to_dict(result)))
@@ -122,28 +113,22 @@ def cmd_sample(args) -> int:
     prefix = args.out or "state"
     for lo in range(0, args.samples, SAMPLE_CHUNK):
         indices = np.arange(lo, min(lo + SAMPLE_CHUNK, args.samples))
-        for i, rho in zip(indices, sample_states(args.dim, args.seed, indices, args.mixedness_floor)):
+        for i, rho in zip(indices, _call(sample_states, args, indices=indices)):
             write_state_file(rho, f"{prefix}_{i:05d}.json")
     print(f"wrote {args.samples} state files with prefix {prefix!r}")
     return EXIT_OK
 
 
 def cmd_purescan(args) -> int:
-    res = div.pure_triangle_scan(args.grid_steps, args.x_steps)
-    sys.stdout.write(
-        _dump(
-            {
-                "min_g": res.min_g,
-                "x": res.x,
-                "y": res.y,
-                "z": res.z,
-                "a": [res.a.real, res.a.imag],
-                "b": [res.b.real, res.b.imag],
-                "grid_steps": args.grid_steps,
-                "x_steps": args.x_steps,
-            }
-        )
-    )
+    res = _call(div.pure_triangle_scan, args)
+    scan = {
+        **res._asdict(),
+        "a": [res.a.real, res.a.imag],
+        "b": [res.b.real, res.b.imag],
+        "grid_steps": args.grid_steps,
+        "x_steps": args.x_steps,
+    }
+    sys.stdout.write(_dump(scan))
     return EXIT_OK if res.min_g >= -1e-12 else EXIT_COUNTEREXAMPLE
 
 

@@ -61,6 +61,15 @@ def check_prob_vector(p) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _prob_stack(laws) -> np.ndarray:
+    """The laws, each checked by check_prob_vector, as one (k, n) stack;
+    DimMismatch unless they have one length."""
+    ps = [check_prob_vector(p) for p in laws]
+    if len({p.size for p in ps}) > 1:
+        raise DimMismatch(f"probability vector lengths {sorted({p.size for p in ps})} differ")
+    return np.array(ps)
+
+
 def entropy_from_eigenvalues(w) -> np.ndarray | float:
     """Shannon entropy in bits of a spectrum, along the last axis.
 
@@ -84,10 +93,7 @@ def kl_divergence(p, q) -> float:
 
     Undefined when some p_i > 0 sits where q_i = 0.
     """
-    a = check_prob_vector(p)
-    b = check_prob_vector(q)
-    if a.size != b.size:
-        raise DimMismatch(f"lengths {a.size} and {b.size} differ")
+    a, b = _prob_stack([p, q])
     bad = (a > 0.0) & (b == 0.0)
     if np.any(bad):
         raise Undefined("support of p is not contained in support of q")
@@ -109,11 +115,7 @@ def classical_jsd(p, q) -> float:
 
     Symmetric, always defined, and bounded: 0 <= D <= 1.
     """
-    a = check_prob_vector(p)
-    b = check_prob_vector(q)
-    if a.size != b.size:
-        raise DimMismatch(f"lengths {a.size} and {b.size} differ")
-    return _jsd_from_probs(a, b)
+    return _jsd_from_probs(*_prob_stack([p, q]))
 
 
 def classical_jsd_sqrt_metric_check(triplets) -> float:
@@ -125,12 +127,10 @@ def classical_jsd_sqrt_metric_check(triplets) -> float:
     be a counterexample. All vectors must have one length; the 3T sides of T
     triplets go through one _jsd_from_probs call, bit for bit as classical_jsd.
     """
-    trips = [[check_prob_vector(v) for v in (p, r, q)] for p, r, q in triplets]
-    if not trips:
+    laws = [v for p, r, q in triplets for v in (p, r, q)]
+    if not laws:
         return math.inf
-    if len({v.size for t in trips for v in t}) > 1:
-        raise DimMismatch(f"vector lengths {sorted({v.size for t in trips for v in t})} differ")
-    stack = np.array(trips)  # (T, 3, n): p, r, q
+    stack = _prob_stack(laws).reshape(len(laws) // 3, 3, -1)  # (T, 3, n): p, r, q
     d = np.sqrt(_jsd_from_probs(stack[:, [0, 1, 0]], stack[:, [1, 2, 2]]))
     return float(np.min(d[:, 0] + d[:, 1] - d[:, 2]))
 
@@ -148,13 +148,10 @@ def schoenberg_check(coefficients, distributions) -> float:
         raise ValueError("need at least two coefficients")
     if abs(float(c.sum())) > 1e-12:
         raise ValueError(f"coefficients sum to {float(c.sum())!r}, expected 0")
-    ps = [check_prob_vector(p) for p in distributions]
-    if len(ps) != c.size:
+    p = _prob_stack(distributions)
+    if len(p) != c.size:
         raise DimMismatch("one distribution per coefficient required")
-    if len({p.size for p in ps}) > 1:
-        raise DimMismatch(f"distribution lengths {sorted({p.size for p in ps})} differ")
     iu, ju = np.triu_indices(c.size, 1)
-    p = np.array(ps)
     total = 0.0
     for ci, cj, d in zip(c[iu].tolist(), c[ju].tolist(), _jsd_from_probs(p[iu], p[ju]).tolist()):
         total += 2.0 * ci * cj * d
@@ -223,7 +220,7 @@ def relative_entropy(rho, sigma) -> float:
         raise SupportViolation(
             f"rho has weight {float(weights[null].sum()):.3e} outside the support of sigma"
         )
-    tr_rho_log_rho = float(np.sum(r[r > 0.0] * np.log2(r[r > 0.0])))
+    tr_rho_log_rho = -entropy_from_eigenvalues(r)
     keep = ~null
     tr_rho_log_sigma = float(np.sum(weights[keep] * np.log2(sw[keep])))
     return tr_rho_log_rho - tr_rho_log_sigma
@@ -354,22 +351,21 @@ def phi_pure(x):
     decreasing on [0, 1] with phi(0) = 1 and phi(1) = 0.
     """
     a = np.asarray(x, dtype=np.float64)
-    if np.any(a < 0.0) or np.any(a > 1.0):
+    if not np.all((a >= 0.0) & (a <= 1.0)):  # NaN fails both comparisons
         raise DomainError("overlap magnitude must lie in [0, 1]")
     out = _phi_raw(a)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def g_function(x: float, y: float, z: float) -> float:
-    """Pure-state triangle defect sqrt(phi(y)) + sqrt(phi(z)) - sqrt(phi(x))."""
-    for v in (x, y, z):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError("arguments must lie in [0, 1]")
+    """Pure-state triangle defect sqrt(phi(y)) + sqrt(phi(z)) - sqrt(phi(x)),
+    with phi_pure's domain check on each argument."""
     return float(np.sqrt(phi_pure(y)) + np.sqrt(phi_pure(z)) - np.sqrt(phi_pure(x)))
 
 
 class ScanResult(NamedTuple):
-    """Minimum triangle defect found by the pure-state grid scan."""
+    """Minimum triangle defect found by the pure-state grid scan. Its fields
+    are keys of the purescan JSON object, with a and b written as [re, im]."""
 
     min_g: float
     x: float

@@ -40,13 +40,11 @@ import numpy as np
 from .errors import (
     DimMismatch,
     InvalidConfig,
-    NotPositive,
     NotUnitary,
     ParseError,
     RejectionBudgetExceeded,
 )
 from .linalg import (
-    PSD_CLAMP,
     TRACE_TOL,
     UNITARY_TOL,
     as_complex_matrix,
@@ -125,6 +123,15 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_real(name: str, value, low: float, high: float = np.inf, inclusive: bool = False) -> float:
+    """value as a float; InvalidConfig unless it is a real number in (low, high),
+    or [low, high) with inclusive. A bool, a string or NaN is not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low <= value if inclusive else low < value) and value < high):
+        raise InvalidConfig(f"{name} must be a number in {'[' if inclusive else '('}{low}, {high}), got {value!r}")
+    return float(value)
+
+
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD up to round-off."""
     a = check_hermitian(rho)
@@ -174,9 +181,7 @@ def check_povm(elements) -> np.ndarray:
     mats = check_hermitian(elements, stack=True)
     if mats.ndim != 3:
         raise DimMismatch(f"expected a list of square matrices, got shape {mats.shape}")
-    w = np.linalg.eigvalsh(mats).min()
-    if w < -PSD_CLAMP:
-        raise NotPositive(f"POVM element eigenvalue {w:.3e}")
+    clamped_spectrum(np.linalg.eigvalsh(mats))  # raises NotPositive below -PSD_CLAMP
     dev = np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[-1])))
     if dev > TRACE_TOL:
         raise ValueError(f"POVM elements sum to identity only within {dev:.3e}")
@@ -327,15 +332,15 @@ def states_from_params(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (u * lam[..., None, :]) @ np.conj(np.swapaxes(u, -2, -1))
 
 
-def check_sampling(dim: int, mixedness_floor: float | None = None) -> int:
-    """dim as an int; InvalidConfig for a dimension that is not an integer
-    >= 2, or a mixedness floor no state can reach."""
+def check_sampling(dim: int, mixedness_floor: float | None = None) -> tuple[int, float | None]:
+    """dim as an int and the floor as a float or None; InvalidConfig for a
+    dimension that is not an integer >= 2, or a floor no state can reach."""
     dim = check_count("dim", dim, least=2)
+    if mixedness_floor is None:
+        return dim, None
     # 1 - Tr(rho^2) <= 1 - 1/dim, with equality only at the maximally mixed
     # state, so a higher floor would reject every draw until the budget ends
-    if mixedness_floor is not None and not 0.0 <= mixedness_floor < 1.0 - 1.0 / dim:
-        raise InvalidConfig(f"mixedness_floor must lie in [0, 1 - 1/{dim}), got {mixedness_floor}")
-    return dim
+    return dim, check_real("mixedness_floor", mixedness_floor, 0.0, 1.0 - 1.0 / dim, inclusive=True)
 
 
 def sample_states(dim: int, seed: int, indices, mixedness_floor: float | None = None) -> np.ndarray:
@@ -346,7 +351,7 @@ def sample_states(dim: int, seed: int, indices, mixedness_floor: float | None = 
     a mixedness floor in [0, 1 - 1/dim), only states whose linear entropy
     1 - Tr(rho^2) reaches the floor are kept, by rejection.
     """
-    dim = check_sampling(dim, mixedness_floor)
+    dim, mixedness_floor = check_sampling(dim, mixedness_floor)
     keys = derive_seed(check_seed(seed), np.asarray(indices, dtype=np.uint64).reshape(-1))
     return states_from_params(*draw_state_params(CounterStream(keys), dim, mixedness_floor))
 

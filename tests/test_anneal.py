@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -119,6 +120,19 @@ def test_schedule_defaults_and_validation():
     for bad in ({"t_initial": np.inf}, {"proposal_scale_ratio": np.inf}, {"proposal_scale_ratio": np.nan}):
         with pytest.raises(InvalidConfig):
             AnnealSchedule(steps_per_temperature=10, **bad).validate()
+    # a bool or a string is not a real; True used to run as 1.0 and to be written as true
+    for bad in ({"t_initial": True}, {"t_final": "1e-6"}, {"cooling_ratio": "0.5"}, {"proposal_scale_ratio": True}):
+        with pytest.raises(InvalidConfig):
+            AnnealSchedule(steps_per_temperature=10, **bad).validate()
+    with pytest.raises(InvalidConfig):
+        run_anneal("single", 2, AnnealSchedule(5, t_initial=True, t_final=0.5, cooling_ratio=0.5), 1)
+    # the checked schedule holds Python numbers, and run_anneal records it
+    given = AnnealSchedule(np.int64(5), t_initial=np.float32(1.0), t_final=np.float32(0.25),
+                           cooling_ratio=np.float32(0.5), proposal_scale_ratio=np.float32(2.0))
+    want = AnnealSchedule(5, t_initial=1.0, t_final=0.25, cooling_ratio=0.5, proposal_scale_ratio=2.0)
+    for checked in (given.validate(), run_anneal("single", 2, given, 1).schedule):
+        assert checked == want
+        assert [type(v) for v in asdict(checked).values()] == [int, float, float, float, float]
 
 
 def test_run_anneal_deterministic():

@@ -159,6 +159,14 @@ def test_histogram_csv_layout():
 def test_report_dict_fields():
     rep = run_audit(dim=2, samples=50, seed=3)
     d = report_to_dict(rep)
+    # the keys of the audit JSON file
+    assert set(d) == {
+        "sampler_version", "dim", "samples", "seed", "tolerance", "violations", "noise_negatives",
+        "min_defect", "mixedness_floor", "histogram", "smallest_defects",
+    }
+    assert set(d["histogram"]) == {"bin_edges", "counts", "underflow_count", "overflow_count", "total"}
+    assert set(d["smallest_defects"][0]) == {"defect", "triplet_index", "triplet_seed"}
+    assert json.loads(json.dumps(d)) == d  # JSON-native as it stands: lists, ints, floats and None
     assert d["dim"] == 2 and d["samples"] == 50 and d["seed"] == 3
     assert d["histogram"]["total"] == 50
     assert len(d["smallest_defects"]) == 10
@@ -195,6 +203,17 @@ def test_invalid_configs():
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # numpy counts come back as ints
     assert np.array_equal(regenerate_triplet(np.int64(2), np.uint64(5)), regenerate_triplet(2, 5))
+    # a bool or a string is not a real-valued option; True used to tile [-1, 1)
+    # and to be written as "tail_max": true, and a string raised a bare TypeError
+    for kw in ({"tolerance": True}, {"tolerance": "1e-9"}, {"mixedness_floor": False},
+               {"mixedness_floor": "0.25"}, {"bin_width": "0.002"}, {"tail_max": True}):
+        with pytest.raises(InvalidConfig):
+            run_audit(**{"dim": 2, "samples": 10, "seed": 0, **kw})
+    # numpy reals act as the float, so the report stays JSON-native
+    reals = {"tolerance": 2.0**-30, "mixedness_floor": 0.25, "bin_width": 0.125, "tail_max": 0.25}
+    got = report_to_dict(run_audit(2, 10, 0, **{k: np.float32(v) for k, v in reals.items()}))
+    want = report_to_dict(run_audit(2, 10, 0, **reals))
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_audit_worker_count_invariance_with_floor():

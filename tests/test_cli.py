@@ -207,6 +207,8 @@ def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
 def test_purescan_exit_and_payload(capsys):
     assert main(["purescan", "--grid-steps", "8", "--x-steps", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"min_g", "x", "y", "z", "a", "b", "grid_steps", "x_steps"}
+    assert doc["grid_steps"] == 8 and doc["x_steps"] == 6
     assert doc["min_g"] >= -1e-12
 
 

@@ -279,6 +279,13 @@ def test_g_nonnegative_when_x_is_one():
 def test_g_domain_error():
     with pytest.raises(DomainError):
         g_function(1.2, 0.5, 0.5)
+    nan = float("nan")
+    for args in [(nan, 0.5, 0.5), (0.5, nan, 0.5), (0.5, 0.5, nan)]:
+        with pytest.raises(DomainError):
+            g_function(*args)
+    for x in (nan, [0.5, nan]):  # the range test alone let NaN through
+        with pytest.raises(DomainError):
+            phi_pure(x)
     with pytest.raises(DomainError):  # the mixed-state defect rejects a non-PSD state
         triangle_defect(KET0, MIXED, np.diag([1.2, -0.2]).astype(complex))
 

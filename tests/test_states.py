@@ -463,27 +463,45 @@ def test_derive_seed_vectorized_matches_scalar():
     assert [[int(v) for v in row] for row in vec] == [[derive_seed(s, k) for k in big[:3]] for s in big]
 
 
-_TINY = AnnealSchedule(steps_per_temperature=5, t_initial=1.0, t_final=0.3, cooling_ratio=0.5)
+def _tiny(real):
+    """A short schedule with its real-valued fields given as `real`."""
+    return AnnealSchedule(steps_per_temperature=5, t_initial=real(1.0), t_final=real(0.25), cooling_ratio=real(0.5))
+
+
+def _audit(seed, real):
+    reals = {"tolerance": 2.0**-30, "mixedness_floor": 0.25, "bin_width": 0.125, "tail_max": 0.25}
+    return json.dumps(report_to_dict(run_audit(2, 10, seed, **{k: real(v) for k, v in reals.items()})))
+
+
 _PAIR = (np.diag([0.7, 0.3]).astype(complex), np.full((2, 2), 0.5, dtype=complex))
-# each entry point that takes a seed, as a function of the seed giving JSON text or bytes
+# each entry point that takes a seed, as a function of the seed and of the type
+# its real-valued options are given as, giving JSON text or bytes; the values
+# are exact in float32
 _SEEDED = {
-    "run_audit": lambda seed: json.dumps(report_to_dict(run_audit(2, 10, seed))),
-    "run_anneal": lambda seed: json.dumps(result_to_dict(run_anneal("single", 2, _TINY, seed))),
-    "sample_states": lambda seed: sample_states(2, seed, [0, 1]).tobytes(),
-    "djs1_lower_bound": lambda seed: repr(djs1_lower_bound(*_PAIR, restarts=2, seed=seed)),
-    "d_h_by_optimization": lambda seed: repr(d_h_by_optimization(*_PAIR, restarts=1, seed=seed, schedule=_TINY)),
+    "run_audit": _audit,
+    "run_anneal": lambda seed, real: json.dumps(result_to_dict(run_anneal("single", 2, _tiny(real), seed))),
+    "sample_states": lambda seed, real: sample_states(2, seed, [0, 1], real(0.25)).tobytes(),
+    "djs1_lower_bound": lambda seed, real: repr(djs1_lower_bound(*_PAIR, restarts=2, seed=seed)),
+    "d_h_by_optimization": lambda seed, real: repr(
+        d_h_by_optimization(*_PAIR, restarts=1, seed=seed, schedule=_tiny(real))
+    ),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_SEEDED))
 def test_seed_contract(entry):
     run = _SEEDED[entry]
-    # numpy integers are seeds and act as the int; a negative seed is masked to 64 bits
+    # numpy integers are seeds and act as the int; a negative seed is masked to
+    # 64 bits; numpy reals act as the float, so outputs stay JSON-native
     for numpy_seed, seed in [(np.int64(3), 3), (np.int64(-1), -1), (np.uint64(2**64 - 1), 2**64 - 1)]:
-        assert run(numpy_seed) == run(seed)
+        assert run(numpy_seed, np.float32) == run(seed, float)
     for bad in (2.5, True, "1"):
         with pytest.raises(InvalidConfig, match="seed"):
-            run(bad)
+            run(bad, float)
+    if entry != "djs1_lower_bound":  # it takes no real-valued option
+        for bad in (True, "0.25"):  # a bool or a string is not a real
+            with pytest.raises(InvalidConfig):
+                run(0, lambda _: bad)
 
 
 def test_state_file_roundtrip(tmp_path, rng):

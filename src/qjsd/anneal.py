@@ -111,16 +111,16 @@ _OBJECTIVES = {"single": objective_single, "symmetrized": objective_symmetrized}
 
 
 def _normalize_blocks(params: np.ndarray, dim: int) -> np.ndarray:
-    """Rescale each block to Frobenius norm sqrt(dim); decode-equivalent.
+    """Rescale each block of 2*dim^2 reals to Frobenius norm sqrt(dim); decode-equivalent.
 
-    Takes one parameter vector or a stack (..., 6*dim^2). Without this, the
-    block norms random-walk upward during the hot phase and the
-    temperature-scaled proposals stop moving the decoded states.
+    Takes one vector or a stack (..., blocks * 2*dim^2): 3 blocks per triplet
+    row, 1 per d_h_by_optimization row. Without it, block norms random-walk
+    upward in the hot phase and the proposals stop moving the decoded states.
     """
-    b = params.reshape(params.shape[:-1] + (3, -1))
+    b = params.reshape(params.shape[:-1] + (-1, 2 * dim * dim))
     nrm = np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))  # np.linalg.norm's own formula
     nrm /= math.sqrt(dim)
-    return (b / np.where(nrm > 0.0, nrm, 1.0)).reshape(params.shape)
+    return np.divide(b, nrm, out=b.copy(), where=nrm > 0.0).reshape(params.shape)
 
 
 def _chains(
@@ -205,7 +205,7 @@ def minimize(
     if schedule is None:
         schedule = AnnealSchedule.defaults_for(n_params)
     schedule = schedule.validate()
-    restarts = check_count("restarts", restarts)
+    restarts, seed = check_count("restarts", restarts), check_seed(seed)
     chains = partial(_chains, objective, n_params, schedule, seed, canonicalize=canonicalize)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals

@@ -41,6 +41,7 @@ log = logging.getLogger("qjsd.audit")
 
 _CHUNK = 512  # triplets per batched linear-algebra pass
 _K_SMALLEST = 10
+_MAX_BINS = 10**6
 _TRIPLET = np.arange(3, dtype=np.uint64)  # state index within a triplet
 SAMPLER_VERSION = 2
 
@@ -82,7 +83,10 @@ class Histogram:
 def histogram_edges(bin_width: float, tail_max: float) -> np.ndarray:
     """Edges tiling [-tail_max, tail_max) in steps of bin_width."""
     bin_width, tail_max = check_real("bin_width", bin_width, 0.0), check_real("tail_max", tail_max, 0.0)
-    nbins = int(round(2.0 * tail_max / bin_width))
+    bins = 2.0 * tail_max / bin_width
+    if not bins <= _MAX_BINS:  # checked before allocating; inf when the quotient overflows
+        raise InvalidConfig(f"2*tail_max/bin_width = {bins} exceeds the cap of {_MAX_BINS} histogram bins")
+    nbins = int(round(bins))
     if nbins < 1 or abs(nbins * bin_width - 2.0 * tail_max) > 1e-9:
         raise InvalidConfig(
             f"bin_width {bin_width} does not tile [-{tail_max}, {tail_max})"

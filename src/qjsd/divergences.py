@@ -534,6 +534,18 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     return u @ wh
 
 
+def _dh_objective(theta: np.ndarray, weighted: np.ndarray, psi_conj: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(phi(|<psi|phi_theta>|)) of each row theta of a stack (K, 2 n^2).
+
+    The averaged projector of two unit vectors has the spectrum
+    (1 -+ |<psi|phi>|)/2, whose entropy is phi(|<psi|phi>|). Each overlap is
+    a product summed along its row: a matrix product of the stack would give
+    row bits that depend on the number of rows.
+    """
+    phi_vecs = (weighted @ _unitary_from_params(theta, n).swapaxes(-2, -1)).reshape(len(theta), -1)
+    return np.sqrt(_phi_raw(np.abs((phi_vecs * psi_conj).sum(axis=-1))))
+
+
 def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None) -> float:
     """Purification metric found by direct minimization.
 
@@ -543,28 +555,14 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     averaged purification projectors. Serves as an independent check on
     d_h_closed_form: it can approach but not beat it.
     """
-    from .anneal import minimize  # deferred: anneal imports this module
+    from .anneal import _normalize_blocks, minimize  # deferred: anneal imports this module
 
-    seed = check_seed(seed)
     a, b = _two_states(rho, sigma)
     n = a.shape[0]
-    psi = purification(a, np.eye(n))  # validates a as a density matrix
+    psi_conj = purification(a, np.eye(n)).conj()  # validates a as a density matrix
     sw, sv = eigh(check_density(b), validate=False)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
-    root_n = math.sqrt(n)
-
-    def objective(theta: np.ndarray) -> np.ndarray:
-        phi_vecs = (weighted @ _unitary_from_params(theta, n).swapaxes(-2, -1)).reshape(len(theta), -1)
-        ov = np.array([np.vdot(psi, row) for row in phi_vecs])
-        # the averaged projector of two unit vectors has the spectrum
-        # (1 -+ |<psi|phi>|)/2, whose entropy is phi(|<psi|phi>|); hypot
-        # rounds as abs() of one complex does, np.abs on complex arrays not
-        return np.sqrt(_phi_raw(np.hypot(ov.real, ov.imag)))
-
-    def gauge(theta: np.ndarray) -> np.ndarray:
-        # per row sqrt(t.dot(t)), as np.linalg.norm takes it for one vector
-        nrm = [math.sqrt(t.dot(t)) / root_n for t in theta]
-        return theta / np.array([[v if v > 0.0 else 1.0] for v in nrm])
-
+    objective = functools.partial(_dh_objective, weighted=weighted, psi_conj=psi_conj, n=n)
+    gauge = functools.partial(_normalize_blocks, dim=n)
     best, _, _ = minimize(objective, 2 * n * n, schedule, seed=seed, restarts=restarts, canonicalize=gauge)
     return best

@@ -81,3 +81,16 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(states_mod, "ProcessPoolExecutor", SerialPool)
     return sizes
+
+
+@pytest.fixture
+def small_arange(monkeypatch):
+    """np.arange refuses more than 10**6 + 1 entries (a million histogram
+    bins), so a test of the bin cap fails instead of allocating gigabytes."""
+    arange = np.arange
+
+    def guarded(stop, *args, **kwargs):
+        assert stop <= 10**6 + 1, f"np.arange asked for {stop} entries"
+        return arange(stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)

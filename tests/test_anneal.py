@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import qjsd.anneal as anneal_mod
 from qjsd.anneal import (
     AnnealResult,
     AnnealSchedule,
@@ -19,9 +20,12 @@ from qjsd.anneal import (
     run_anneal,
 )
 from qjsd.audit import triangle_defect
+from qjsd.divergences import d_h_by_optimization
 from qjsd.errors import DegenerateBlock, InvalidConfig
 from qjsd.linalg import matrix_sqrt
 from qjsd.states import state_to_dict
+
+from conftest import rand_density
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -150,11 +154,35 @@ def test_run_anneal_worker_invariance():
     assert np.array_equal(a.best_params, b.best_params)
 
 
-@pytest.mark.parametrize("objective, dim", [(objective_single, 2), (objective_symmetrized, 3)])
+def _dh_problem(dim):
+    """The objective, parameter count and gauge that d_h_by_optimization hands
+    to minimize, for a fixed pair of states of dimension dim."""
+    rng = np.random.default_rng(dim)
+    pair = rand_density(rng, dim), rand_density(rng, dim)
+    seen = []
+
+    def capture(objective, n_params, *args, canonicalize, **kwargs):
+        seen.append((objective, n_params, canonicalize))
+        return 0.0, None, None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(anneal_mod, "minimize", capture)
+        d_h_by_optimization(*pair, restarts=1)
+    return seen[0]
+
+
+def _problem(objective, dim):
+    if objective is d_h_by_optimization:
+        return _dh_problem(dim)
+    return partial(objective, dim=dim), 6 * dim * dim, partial(_normalize_blocks, dim=dim)
+
+
+@pytest.mark.parametrize(
+    "objective, dim", [(objective_single, 2), (objective_symmetrized, 3), (d_h_by_optimization, 3)]
+)
 def test_lockstep_rows_match_lone_chains(objective, dim):
-    n_params = 6 * dim * dim
-    gauge = partial(_normalize_blocks, dim=dim)
-    chains = partial(_chains, partial(objective, dim=dim), n_params, _FAST, 5, canonicalize=gauge)
+    fn, n_params, gauge = _problem(objective, dim)
+    chains = partial(_chains, fn, n_params, _FAST, 5, canonicalize=gauge)
     together = chains([0, 1, 2, 3])
     for r, (best_f, best_x, trace) in enumerate(together):
         [(lone_f, lone_x, lone_trace)] = chains([r])
@@ -207,8 +235,8 @@ def _decode_oracle(params, dim):
 
 
 def _normalize_oracle(params, dim):
-    # the reference expression: np.linalg.norm along the block
-    b = params.reshape(params.shape[:-1] + (3, -1))
+    # the reference expression: np.linalg.norm along each block of 2*dim^2 reals
+    b = params.reshape(params.shape[:-1] + (-1, 2 * dim * dim))
     nrm = np.linalg.norm(b, axis=-1, keepdims=True) / np.sqrt(dim)
     return (b / np.where(nrm > 0.0, nrm, 1.0)).reshape(params.shape)
 
@@ -255,11 +283,24 @@ def test_normalize_blocks_bit_identical_to_reference(rng, dim):
     n = 2 * dim * dim
     zero_block = rng.standard_normal((2, 3 * n))
     zero_block[0, :n] = 0.0  # a zero-norm block is left as it is
-    for params in _kernel_inputs(rng, dim) + [zero_block, zero_block[0]]:
+    triplets = _kernel_inputs(rng, dim) + [zero_block, zero_block[0]]
+    for params in triplets + [p[..., :n] for p in triplets]:  # three blocks a row, then one
         got = _normalize_blocks(params, dim)
         assert got.shape == params.shape
         assert np.array_equal(got, _normalize_oracle(params, dim))
     assert np.array_equal(_normalize_blocks(zero_block, dim)[0, :n], np.zeros(n))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_dh_rows_bit_identical_alone_and_stacked(rng, dim):
+    # the overlaps are taken row by row: a matrix product of the stack gives
+    # row bits that depend on how many rows it holds
+    objective, n_params, gauge = _dh_problem(dim)
+    stack = rng.standard_normal((50, n_params)) * np.logspace(-3, 3, 50)[:, None]
+    alone = [(objective(row[None]).tobytes(), gauge(row[None]).tobytes()) for row in stack]
+    for k in range(2, 51):
+        values, gauged = objective(stack[:k]), gauge(stack[:k])
+        assert [(values[i : i + 1].tobytes(), gauged[i : i + 1].tobytes()) for i in range(k)] == alone[:k]
 
 
 def test_run_anneal_contract_invariants():

@@ -57,7 +57,7 @@ def test_defect_rejects_a_state_of_another_dimension(position):
         triangle_defect(*triplet)
 
 
-def test_histogram_edges_tile_range():
+def test_histogram_edges_tile_range(small_arange):
     edges = histogram_edges(0.002, 0.2)
     assert edges.size == 201
     assert edges[0] == -0.2 and edges[-1] == pytest.approx(0.2, abs=1e-15)
@@ -65,6 +65,11 @@ def test_histogram_edges_tile_range():
         histogram_edges(0.003, 0.2)  # does not tile
     with pytest.raises(InvalidConfig):
         histogram_edges(-0.1, 0.2)
+    # 2*tail_max/bin_width overflows to inf, or asks for 2e9 bins (16 GB of edges)
+    for bin_width, tail_max in [(1e-300, 1e300), (1e-9, 1.0)]:
+        with pytest.raises(InvalidConfig, match="cap of 1000000"):
+            histogram_edges(bin_width, tail_max)
+    assert histogram_edges(1e-6, 0.5).size == 10**6 + 1  # the cap itself is allowed
 
 
 def test_single_sample_bookkeeping():

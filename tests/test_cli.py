@@ -212,7 +212,7 @@ def test_purescan_exit_and_payload(capsys):
     assert doc["min_g"] >= -1e-12
 
 
-def test_invalid_configuration_exits_64(tmp_path, capsys):
+def test_invalid_configuration_exits_64(tmp_path, capsys, small_arange):
     audit = ["audit", "--dim", "2", "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")]
     assert main(audit + ["--samples", "0"]) == 64
     assert main(audit + ["--mixedness-floor", "0.6"]) == 64  # above 1 - 1/dim, no state qualifies
@@ -221,6 +221,10 @@ def test_invalid_configuration_exits_64(tmp_path, capsys):
     assert main(audit + ["--tolerance", "nan"]) == 64
     assert main(audit + ["--bin-width", "nan"]) == 64
     assert main(audit + ["--tail-max", "inf"]) == 64
+    capsys.readouterr()
+    for width, tail in [("1e-300", "1e300"), ("1e-9", "1")]:  # inf bins, or 2e9 (16 GB of edges)
+        assert main(audit + ["--bin-width", width, "--tail-max", tail]) == 64
+        assert "cap of 1000000" in capsys.readouterr().err
     # the invalid value comes last: argparse keeps the last occurrence, and
     # ANNEAL_FAST[2:] sets --t-initial too
     anneal = ["anneal", "--dim", "2", "--out", str(tmp_path / "y.json")]

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from mpmath import iv
 
 from qjsd.anneal import AnnealSchedule
 from qjsd.audit import triangle_defect
@@ -288,6 +290,61 @@ def test_g_domain_error():
             phi_pure(x)
     with pytest.raises(DomainError):  # the mixed-state defect rejects a non-PSD state
         triangle_defect(KET0, MIXED, np.diag([1.2, -0.2]).astype(complex))
+
+
+def _g_terms(ctx, theta):
+    """g(theta) = phi(cos theta) = h2(sin^2(theta/2)) and its first two
+    derivatives g' = sin(theta) log2 cot(theta/2) and
+    g'' = cos(theta) log2 cot(theta/2) - 1/ln 2, in mpmath context ctx
+    (mpmath.mp for points, mpmath.iv for enclosures)."""
+    ln2 = ctx.log(2)
+    s, c = ctx.sin(theta / 2), ctx.cos(theta / 2)
+    log2_cot = ctx.log(c / s) / ln2
+    g = -(s**2 * ctx.log(s**2) + c**2 * ctx.log(c**2)) / ln2
+    return g, ctx.sin(theta) * log2_cot, ctx.cos(theta) * log2_cot - 1 / ln2
+
+
+def _concavity_q(theta):
+    """2 g g'' - g'^2, which has the sign of f'' for f = sqrt(g)."""
+    g, g1, g2 = _g_terms(iv, theta)
+    return 2 * g * g2 - g1**2
+
+
+def _certify_negative(fn, lo, hi, max_boxes=20_000):
+    """Prove fn < 0 on [lo, hi] by interval bisection: returns the number of
+    boxes whose enclosure lies below 0, or, at the first box whose enclosure
+    lies above 0 (fn > 0 proven there), that box (a, b)."""
+    boxes, todo = 0, [(mpmath.mpf(lo), mpmath.mpf(hi))]
+    while todo:
+        a, b = todo.pop()  # depth first, leftmost box first
+        y = fn(iv.mpf([a, b]))
+        if y.b < 0:
+            boxes += 1
+        elif y.a > 0:
+            return a, b
+        else:
+            assert boxes + len(todo) < max_boxes, f"undecided after {boxes} boxes, at [{a}, {b}]"
+            m = (a + b) / 2
+            todo += [(m, b), (a, m)]
+    return boxes
+
+
+def test_sqrt_pure_divergence_concave_on_1e_6_to_half_pi():
+    """For pure states at Fubini-Study angle theta, sqrt D = f(theta) with
+    f = sqrt(g), g(theta) = phi(cos theta). Interval bisection certifies
+    f'' < 0 on [1e-6, pi/2]; (0, 1e-6] still needs an analytic lemma."""
+    for theta in (1e-2, 0.3, 1.0, 1.5):  # the formulas are phi's, and its derivatives
+        g, g1, g2 = _g_terms(mpmath.mp, mpmath.mpf(theta))
+        assert float(g) == pytest.approx(phi_pure(np.cos(theta)), rel=1e-12)
+        assert float(g1) == pytest.approx(mpmath.diff(lambda t: _g_terms(mpmath.mp, t)[0], theta), rel=1e-8)
+        assert float(g2) == pytest.approx(mpmath.diff(lambda t: _g_terms(mpmath.mp, t)[1], theta), rel=1e-8)
+    half_pi = (iv.pi / 2).b  # an upper bound of pi/2
+    boxes = _certify_negative(_concavity_q, 1e-6, half_pi)
+    assert isinstance(boxes, int), f"f'' > 0 proven on {boxes}"
+    # mutation: g itself (D, not sqrt D) is convex near 0, so the same routine
+    # run on g'' must stop at once, at a box where g'' > 0 is proven
+    refuted = _certify_negative(lambda t: _g_terms(iv, t)[2], 1e-6, half_pi, max_boxes=10)
+    assert isinstance(refuted, tuple) and refuted[0] == mpmath.mpf(1e-6)
 
 
 def test_scan_corner_grid():

@@ -1,11 +1,12 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import qjsd.states as states_mod
-from qjsd.anneal import AnnealSchedule, result_to_dict, run_anneal
+from qjsd.anneal import AnnealSchedule, _normalize_blocks, minimize, objective_single, result_to_dict, run_anneal
 from qjsd.audit import report_to_dict, run_audit
 from qjsd.divergences import d_h_by_optimization, djs1_lower_bound
 from qjsd.errors import (
@@ -473,6 +474,13 @@ def _audit(seed, real):
     return json.dumps(report_to_dict(run_audit(2, 10, seed, **{k: real(v) for k, v in reals.items()})))
 
 
+def _minimize(seed, real):
+    f, x, traces = minimize(
+        partial(objective_single, dim=2), 24, _tiny(real), seed, 2, canonicalize=partial(_normalize_blocks, dim=2)
+    )
+    return repr((f, traces)).encode() + x.tobytes()
+
+
 _PAIR = (np.diag([0.7, 0.3]).astype(complex), np.full((2, 2), 0.5, dtype=complex))
 # each entry point that takes a seed, as a function of the seed and of the type
 # its real-valued options are given as, giving JSON text or bytes; the values
@@ -482,6 +490,7 @@ _SEEDED = {
     "run_anneal": lambda seed, real: json.dumps(result_to_dict(run_anneal("single", 2, _tiny(real), seed))),
     "sample_states": lambda seed, real: sample_states(2, seed, [0, 1], real(0.25)).tobytes(),
     "djs1_lower_bound": lambda seed, real: repr(djs1_lower_bound(*_PAIR, restarts=2, seed=seed)),
+    "minimize": _minimize,
     "d_h_by_optimization": lambda seed, real: repr(
         d_h_by_optimization(*_PAIR, restarts=1, seed=seed, schedule=_tiny(real))
     ),

@@ -31,7 +31,11 @@ The set:
 The manifest is keyed by the audit's `sampler_version`, since a new sampler
 changes the audit and sample outputs on purpose, and it records the numpy
 version and BLAS the hashes were taken with: they hold for that build only.
-Exit status 0 when every output matches, 1 otherwise.
+A deliberate output change that is not a sampler change re-records the
+current version's entry with `--write`, and CHANGES.md names the entries it
+changed. Both modes print `name: old -> new` for each changed entry. Exit
+status 0 when every output matches (or the manifest was written), 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -168,6 +172,13 @@ def main(argv=None) -> int:
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     version = str(audit.SAMPLER_VERSION)
     entry = manifest.get(version)
+    want = entry["outputs"] if entry else {}
+    changed = [name for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
+    if entry is not None and {k: entry[k] for k in ("numpy", "blas")} != build():
+        print(f"golden: recorded with numpy {entry['numpy']} and {entry['blas']}, running "
+              f"numpy {build()['numpy']} and {build()['blas']}; the hashes may not carry over")
+    for name in changed:
+        print(f"golden: {name}: {want.get(name, 'absent')} -> {got.get(name, 'absent')}")
 
     if args.write:
         split = sorted(name for name, h in got.items() if h == SPLIT)
@@ -176,19 +187,13 @@ def main(argv=None) -> int:
             return 1
         manifest[version] = {**build(), "outputs": dict(sorted(got.items()))}
         MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"golden: wrote {len(got)} outputs for sampler_version {version} to {MANIFEST} ({elapsed:.1f} s)")
+        print(f"golden: wrote {len(got)} outputs for sampler_version {version} to {MANIFEST}, "
+              f"{len(changed)} changed ({elapsed:.1f} s)")
         return 0
 
     if entry is None:
         print(f"golden: {MANIFEST} has no entry for sampler_version {version}; record one with --write")
         return 1
-    if {k: entry[k] for k in ("numpy", "blas")} != build():
-        print(f"golden: recorded with numpy {entry['numpy']} and {entry['blas']}, running "
-              f"numpy {build()['numpy']} and {build()['blas']}; the hashes may not carry over")
-    want = entry["outputs"]
-    changed = [name for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
-    for name in changed:
-        print(f"golden: {name}: {want.get(name, 'absent')} -> {got.get(name, 'absent')}")
     print(f"golden: sampler_version {version}: {sum(n not in changed for n in want)} of {len(want)} outputs match, "
           f"{len(changed)} changed ({elapsed:.1f} s)")
     return 1 if changed else 0

@@ -125,26 +125,25 @@ def _normalize_blocks(params: np.ndarray, dim: int) -> np.ndarray:
 
 def _chains(
     objective: Callable[[np.ndarray], np.ndarray],
+    dim: int,
     n_params: int,
     schedule: AnnealSchedule,
     seed: int,
     restarts: Sequence[int],
-    *,
-    canonicalize: Callable[[np.ndarray], np.ndarray],
 ) -> list[tuple[float, np.ndarray, list[float]]]:
     """Metropolis chains of the listed restarts through the cooling schedule,
     advanced in lockstep as the rows of one array; returns each one's
     best-ever objective, point and best-so-far trace.
 
     Each step makes one objective call and, if any row accepts, one
-    canonicalize call over all rows. Restart r draws from its own
+    _normalize_blocks call over all rows. Restart r draws from its own
     derive_seed(seed, r) stream in the order a lone chain would (proposal
     noise, then a Metropolis uniform only when the proposal goes uphill), so
     every row is bit for bit the chain of its restart run alone, in any
     company and in any process.
     """
     rngs = [np.random.default_rng(derive_seed(seed, r)) for r in restarts]
-    x = canonicalize(np.stack([rng.standard_normal(n_params) for rng in rngs]))
+    x = _normalize_blocks(np.stack([rng.standard_normal(n_params) for rng in rngs]), dim)
     fx = objective(x).tolist()
     best_f, best_x = list(fx), x.copy()
     cand = np.empty_like(x)
@@ -164,7 +163,7 @@ def _chains(
                 if c <= f or delta < 700.0 and rngs[i].random() < math.exp(-delta):
                     accept.append(i)
             if accept:
-                kept = canonicalize(cand)
+                kept = _normalize_blocks(cand, dim)
                 for i in accept:
                     x[i] = kept[i]
                     fx[i] = fc[i]
@@ -178,35 +177,33 @@ def _chains(
 
 def minimize(
     objective: Callable[[np.ndarray], np.ndarray],
-    n_params: int,
-    schedule: AnnealSchedule | None = None,
+    dim: int,
+    blocks: int,
+    schedule: AnnealSchedule,
     seed: int = 0,
     restarts: int = 1,
     *,
-    canonicalize: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
 ) -> tuple[float, np.ndarray, list[list[float]]]:
-    """Best-of-restarts annealing; returns the best objective, its parameters
-    and each restart's best-so-far trace.
+    """Best-of-restarts annealing over rows of `blocks` blocks of 2*dim^2
+    reals; returns the best objective, its parameters and each restart's
+    best-so-far trace.
 
     The restarts run in lockstep as the rows of one (restarts, n_params)
-    array. So `objective` maps rows (K, n_params) to values (K,), and
-    `canonicalize`, a decode-equivalent gauge applied to every point kept,
-    maps rows to rows; both must treat each row as they would treat it
-    alone. The outcome is then bit-identical to running each restart alone.
+    array, n_params = blocks * 2*dim^2. So `objective` maps rows
+    (K, n_params) to values (K,), and must treat each row as it would treat
+    it alone; every kept point is gauged by _normalize_blocks, which does.
+    The outcome is then bit-identical to running each restart alone.
 
-    The schedule defaults to AnnealSchedule.defaults_for(n_params). Each
-    restart owns a derived RNG stream and ties keep the earliest restart, so
-    the result does not depend on `workers`. The restarts are split into
-    groups by states.map_groups, whose picklability rule then applies to
-    `objective` and `canonicalize`.
+    Each restart owns a derived RNG stream and ties keep the earliest
+    restart, so the result does not depend on `workers`. The restarts are
+    split into groups by states.map_groups, whose picklability rule then
+    applies to `objective`.
     """
-    n_params = check_count("n_params", n_params)
-    if schedule is None:
-        schedule = AnnealSchedule.defaults_for(n_params)
+    dim, blocks = check_count("dim", dim), check_count("blocks", blocks)
     schedule = schedule.validate()
     restarts, seed = check_count("restarts", restarts), check_seed(seed)
-    chains = partial(_chains, objective, n_params, schedule, seed, canonicalize=canonicalize)
+    chains = partial(_chains, objective, dim, blocks * 2 * dim * dim, schedule, seed)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals
     return best_f, best_x, [trace for _, _, trace in outcomes]
@@ -220,16 +217,16 @@ class AnnealResult:
     best_params: np.ndarray
     decoded_states: list[np.ndarray]
     objective_trace: list[list[float]] = field(repr=False)
-    schedule: AnnealSchedule  # required: the result file records it
-    seed: int = 0
-    dim: int = 2
-    objective: str = "single"
+    schedule: AnnealSchedule
+    seed: int
+    dim: int
+    objective: str
 
 
 def run_anneal(
     objective: str,
     dim: int,
-    schedule: AnnealSchedule | None = None,
+    schedule: AnnealSchedule,
     seed: int = 0,
     restarts: int = 1,
     workers: int = 1,
@@ -237,18 +234,15 @@ def run_anneal(
     """Anneal a state triplet against the chosen defect objective.
 
     Deterministic given (objective, dim, schedule, seed, restarts), no matter
-    how many workers execute the restarts.
+    how many workers execute the restarts. The result records the schedule
+    as checked; AnnealSchedule.defaults_for(6 * dim**2) is the default budget.
     """
     if objective not in _OBJECTIVES:
         raise InvalidConfig(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
     dim, seed = check_count("dim", dim, least=2), check_seed(seed)
-    n_params = 6 * dim * dim
-    if schedule is None:  # resolved and checked here too: the result records it
-        schedule = AnnealSchedule.defaults_for(n_params)
     schedule = schedule.validate()
     best_f, best_x, traces = minimize(
-        partial(_OBJECTIVES[objective], dim=dim), n_params, schedule, seed, restarts,
-        canonicalize=partial(_normalize_blocks, dim=dim), workers=workers,
+        partial(_OBJECTIVES[objective], dim=dim), dim, 3, schedule, seed, restarts, workers=workers
     )
     states = list(_decode_triplet(best_x, dim))
     if objective == "single":

@@ -39,10 +39,10 @@ def _dump(obj) -> str:
 
 
 def _schedule_from(args, n_params: int) -> anneal_mod.AnnealSchedule:
-    """The default schedule for n_params, with the options given on the command line."""
+    """The default schedule for n_params, with the options given on the command line; run_anneal checks it."""
     names = [f.name for f in dataclasses.fields(anneal_mod.AnnealSchedule)]
     given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    return dataclasses.replace(anneal_mod.AnnealSchedule.defaults_for(n_params), **given).validate()
+    return dataclasses.replace(anneal_mod.AnnealSchedule.defaults_for(n_params), **given)
 
 
 def _call(fn, args, **computed):

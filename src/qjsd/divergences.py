@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, SupportViolation, Undefined
+from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
 from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, sqrt_from_eigh
 from .states import (
     CounterStream,
@@ -29,6 +29,7 @@ from .states import (
     check_povm,
     check_pure_state,
     check_seed,
+    check_unit_trace,
     check_unitary,
     derive_seed,
     purification,
@@ -37,6 +38,10 @@ from .states import (
 
 SUPPORT_CUTOFF = 1e-12  # eigenvalues below this count as outside the support
 _SUPPORT_WEIGHT_TOL = 1e-9
+# caps on what one call holds at once: about 105 B per pair-grid point of
+# pure_triangle_scan, and 120-130 B per entry of djs1_lower_bound's bases
+_MAX_SCAN_POINTS = 10**7
+_MAX_BASIS_ENTRIES = 10**7
 # side i of a state pair or triplet joins state i to state _PARTNER[k][i]
 _PARTNER = {2: np.array([1]), 3: np.array([1, 2, 0])}
 _MINUS_PLUS = np.array([-1.0, 1.0])
@@ -179,20 +184,25 @@ def _pair_key(rho, sigma) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, w, v) for the pair of a _pair_key: the pair, validated by
-    _two_states as read-only views of the key's bytes, and the read-only
+    """(a, b, w, v) for the pair of a _pair_key: the pair as read-only views
+    of the key's bytes, validated as density matrices, and the read-only
     eigensystem of the stack [a - b, a, b, (a + b)/2].
 
     fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
     here, so one compare of a pair validates the pair and solves the stack
-    once. The stack is not checked again, since a - b may deviate from
-    Hermitian by twice the tolerance of its inputs.
+    once. The pair is checked as Hermitian by _two_states, for unit trace,
+    and as PSD from its own spectra w[1] and w[2]. The stack is not checked
+    again, since a - b may deviate from Hermitian by twice the tolerance of
+    its inputs.
     """
     a, b = _two_states(
         np.frombuffer(bytes_a, np.complex128).reshape(shape_a),
         np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
     )
-    w, v = eigh(np.stack([a - b, a, b, (a + b) / 2.0]), validate=False)
+    stack = np.stack([a - b, a, b, (a + b) / 2.0])
+    check_unit_trace(stack[1:3])
+    w, v = eigh(stack, validate=False)
+    clamped_spectrum(w[1:3])  # raises NotPositive below -PSD_CLAMP
     w.flags.writeable = v.flags.writeable = False
     return a, b, w, v
 
@@ -204,12 +214,13 @@ def von_neumann_entropy(rho) -> float:
 
 
 def relative_entropy(rho, sigma) -> float:
-    """Tr[rho (log2 rho - log2 sigma)].
+    """Tr[rho (log2 rho - log2 sigma)] of two density matrices.
 
     Defined only when the support of rho lies inside the support of sigma
     (eigenvalue cutoff 1e-12); otherwise raises SupportViolation.
     """
     a, b = _two_states(rho, sigma)
+    check_unit_trace(np.stack([a, b]))
     r = clamped_spectrum(np.linalg.eigvalsh(a))
     sw, sv = eigh(b, validate=False)
     sw = clamped_spectrum(sw)
@@ -267,12 +278,13 @@ def qjsd(rho, sigma):
 
     Takes two states, or two stacks (..., N, N) of one shape, and gives one
     divergence per pair: a float for one pair, an array of shape (...) for a
-    stack. Each argument is checked as Hermitian once, and all pairs go
-    through one qjsd_sides call, so a pair gets the same bits in a stack as
+    stack. Each argument is checked as Hermitian and for unit trace once,
+    and all pairs go through one qjsd_sides call, which raises DomainError
+    for a matrix that is not PSD; a pair gets the same bits in a stack as
     alone.
     """
     a, b = _two_states(rho, sigma, stack=True)
-    out = qjsd_sides(np.stack([a, b], axis=-3))[..., 0]
+    out = qjsd_sides(check_unit_trace(np.stack([a, b], axis=-3)))[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -280,7 +292,8 @@ def qjsd_via_relative_entropy(rho, sigma) -> float:
     """Same divergence computed as the symmetrized relative entropy to the
     midpoint state, (S(rho, m) + S(sigma, m))/2 with m = (rho+sigma)/2.
 
-    An independent computation path used to cross-check qjsd.
+    An independent computation path used to cross-check qjsd; relative_entropy
+    checks rho and sigma as density matrices.
     """
     a, b = _two_states(rho, sigma)
     m = (a + b) / 2.0
@@ -387,6 +400,10 @@ def pure_triangle_scan(grid_steps: int, x_steps: int = 20) -> ScanResult:
     """
     grid_steps = check_count("grid_steps", grid_steps, least=2)
     x_steps = check_count("x_steps", x_steps, least=2)
+    if grid_steps**4 > _MAX_SCAN_POINTS:  # checked before allocating
+        raise InvalidConfig(
+            f"grid_steps**4 = {grid_steps**4} exceeds the cap of {_MAX_SCAN_POINTS} pair-grid points"
+        )
     radii = np.linspace(0.0, 1.0, grid_steps)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_steps, endpoint=False)
     disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -446,11 +463,11 @@ def measured_jsd(rho, sigma, povm) -> float:
 
     p_i = Tr(E_i rho), q_i = Tr(E_i sigma). Never exceeds qjsd(rho, sigma);
     equality holds when the states commute and the POVM measures their common
-    eigenbasis. The states are validated as Hermitian and the POVM with
-    check_povm. A projective POVM gets what djs1_lower_bound gives for its
+    eigenbasis. The states are validated with check_density and the POVM
+    with check_povm. A projective POVM gets what djs1_lower_bound gives for its
     basis to a few ulps; djs1_lower_bound contracts over basis columns.
     """
-    a, b = _two_states(rho, sigma)
+    a, b = _two_states(check_density(rho), check_density(sigma))
     elements = check_povm(povm)
     if elements.shape[1:] != a.shape:
         raise DimMismatch("POVM dimension does not match the states")
@@ -467,7 +484,7 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     matrices from the counter stream of key derive_seed(seed, 0x5B0B). The
     true supremum is at least this value and never exceeds qjsd(rho, sigma).
 
-    The inputs are validated once, as Hermitian matrices of one dimension,
+    The inputs are validated once, as density matrices of one dimension,
     and the four derived operators are eigendecomposed as one stack, which
     fidelity and qjsd_spectral share for the same pair (see _pair_eigh). All
     4 + restarts bases are checked as one stack of unitaries. Outcome k of
@@ -479,6 +496,10 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     restarts, seed = check_count("restarts", restarts), check_seed(seed)
     a, b, _, eigenbases = _pair_eigh(*_pair_key(rho, sigma))
     n = a.shape[0]
+    if restarts * n * n > _MAX_BASIS_ENTRIES:  # checked before allocating
+        raise InvalidConfig(
+            f"restarts * dim**2 = {restarts * n * n} exceeds the cap of {_MAX_BASIS_ENTRIES} random-basis entries"
+        )
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
     z = CounterStream([derive_seed(seed, 0x5B0B)]).standard_normal(entries)[0]
     u = check_unitary(np.concatenate([eigenbases, unitaries_from_ginibre(z)]))[:, None]
@@ -546,7 +567,7 @@ def _dh_objective(theta: np.ndarray, weighted: np.ndarray, psi_conj: np.ndarray,
     return np.sqrt(_phi_raw(np.abs((phi_vecs * psi_conj).sum(axis=-1))))
 
 
-def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None) -> float:
+def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, *, schedule) -> float:
     """Purification metric found by direct minimization.
 
     Anneals over the unitary purification freedom of sigma (rho's purification
@@ -555,7 +576,7 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     averaged purification projectors. Serves as an independent check on
     d_h_closed_form: it can approach but not beat it.
     """
-    from .anneal import _normalize_blocks, minimize  # deferred: anneal imports this module
+    from .anneal import minimize  # deferred: anneal imports this module
 
     a, b = _two_states(rho, sigma)
     n = a.shape[0]
@@ -563,6 +584,5 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, schedule=None)
     sw, sv = eigh(check_density(b), validate=False)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
     objective = functools.partial(_dh_objective, weighted=weighted, psi_conj=psi_conj, n=n)
-    gauge = functools.partial(_normalize_blocks, dim=n)
-    best, _, _ = minimize(objective, 2 * n * n, schedule, seed=seed, restarts=restarts, canonicalize=gauge)
+    best, _, _ = minimize(objective, n, 1, schedule, seed=seed, restarts=restarts)
     return best

@@ -132,12 +132,18 @@ def check_real(name: str, value, low: float, high: float = np.inf, inclusive: bo
     return float(value)
 
 
+def check_unit_trace(a: np.ndarray) -> np.ndarray:
+    """a, a matrix or a stack (..., N, N); ValueError unless each trace is 1
+    within TRACE_TOL."""
+    for tr in np.trace(a, axis1=-2, axis2=-1).real.ravel().tolist():
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_TOL:.0e}")
+    return a
+
+
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD up to round-off."""
-    a = check_hermitian(rho)
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_TOL:.0e}")
+    a = check_unit_trace(check_hermitian(rho))
     clamped_spectrum(np.linalg.eigvalsh(a))  # raises NotPositive below -PSD_CLAMP
     return a
 

@@ -94,3 +94,17 @@ def small_arange(monkeypatch):
         return arange(stop, *args, **kwargs)
 
     monkeypatch.setattr(np, "arange", guarded)
+
+
+@pytest.fixture
+def small_linspace(monkeypatch):
+    """np.linspace refuses more than 56 points, the largest grid_steps whose
+    pair grid of grid_steps**4 points is within pure_triangle_scan's cap, so
+    a test of that cap fails instead of allocating gigabytes."""
+    linspace = np.linspace
+
+    def guarded(start, stop, num=50, *args, **kwargs):
+        assert num <= 56, f"np.linspace asked for {num} points"
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)

@@ -155,34 +155,34 @@ def test_run_anneal_worker_invariance():
 
 
 def _dh_problem(dim):
-    """The objective, parameter count and gauge that d_h_by_optimization hands
-    to minimize, for a fixed pair of states of dimension dim."""
+    """The objective, block dimension and block count that d_h_by_optimization
+    hands to minimize, for a fixed pair of states of dimension dim."""
     rng = np.random.default_rng(dim)
     pair = rand_density(rng, dim), rand_density(rng, dim)
     seen = []
 
-    def capture(objective, n_params, *args, canonicalize, **kwargs):
-        seen.append((objective, n_params, canonicalize))
+    def capture(objective, dim, blocks, *args, **kwargs):
+        seen.append((objective, dim, blocks))
         return 0.0, None, None
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(anneal_mod, "minimize", capture)
-        d_h_by_optimization(*pair, restarts=1)
+        d_h_by_optimization(*pair, restarts=1, schedule=_FAST)
     return seen[0]
 
 
 def _problem(objective, dim):
     if objective is d_h_by_optimization:
         return _dh_problem(dim)
-    return partial(objective, dim=dim), 6 * dim * dim, partial(_normalize_blocks, dim=dim)
+    return partial(objective, dim=dim), dim, 3
 
 
 @pytest.mark.parametrize(
     "objective, dim", [(objective_single, 2), (objective_symmetrized, 3), (d_h_by_optimization, 3)]
 )
 def test_lockstep_rows_match_lone_chains(objective, dim):
-    fn, n_params, gauge = _problem(objective, dim)
-    chains = partial(_chains, fn, n_params, _FAST, 5, canonicalize=gauge)
+    fn, dim, blocks = _problem(objective, dim)
+    chains = partial(_chains, fn, dim, blocks * 2 * dim * dim, _FAST, 5)
     together = chains([0, 1, 2, 3])
     for r, (best_f, best_x, trace) in enumerate(together):
         [(lone_f, lone_x, lone_trace)] = chains([r])
@@ -295,8 +295,9 @@ def test_normalize_blocks_bit_identical_to_reference(rng, dim):
 def test_dh_rows_bit_identical_alone_and_stacked(rng, dim):
     # the overlaps are taken row by row: a matrix product of the stack gives
     # row bits that depend on how many rows it holds
-    objective, n_params, gauge = _dh_problem(dim)
-    stack = rng.standard_normal((50, n_params)) * np.logspace(-3, 3, 50)[:, None]
+    objective, dim, blocks = _dh_problem(dim)
+    gauge = partial(_normalize_blocks, dim=dim)
+    stack = rng.standard_normal((50, blocks * 2 * dim * dim)) * np.logspace(-3, 3, 50)[:, None]
     alone = [(objective(row[None]).tobytes(), gauge(row[None]).tobytes()) for row in stack]
     for k in range(2, 51):
         values, gauged = objective(stack[:k]), gauge(stack[:k])
@@ -335,10 +336,12 @@ def test_run_anneal_rejects_bad_config():
         with pytest.raises(InvalidConfig):
             run_anneal("single", 2, schedule=_FAST, restarts=restarts)
     with pytest.raises(InvalidConfig):
-        minimize(lambda x: x[:, 0], 1, _FAST, restarts=2.0, canonicalize=lambda x: x)
-    for n_params in (0, 2.5, 2.0, True):
-        with pytest.raises(InvalidConfig):
-            minimize(lambda x: x[:, 0], n_params, _FAST, canonicalize=lambda x: x)
+        minimize(lambda x: x[:, 0], 1, 1, _FAST, restarts=2.0)
+    for bad in (0, 2.5, 2.0, True):
+        with pytest.raises(InvalidConfig, match="dim"):
+            minimize(lambda x: x[:, 0], bad, 1, _FAST)
+        with pytest.raises(InvalidConfig, match="blocks"):
+            minimize(lambda x: x[:, 0], 1, bad, _FAST)
     for kw in ({"dim": 2.0}, {"workers": 1.5}):
         with pytest.raises(InvalidConfig):
             run_anneal(**{"objective": "single", "dim": 2, "schedule": _FAST, **kw})
@@ -346,6 +349,29 @@ def test_run_anneal_rejects_bad_config():
     want = run_anneal("single", 2, schedule=_FAST)
     assert got.best_objective == want.best_objective
     assert json.dumps(result_to_dict(got)) == json.dumps(result_to_dict(want))  # numpy counts come back as ints
+
+
+def test_every_anneal_entry_point_needs_a_schedule():
+    with pytest.raises(TypeError, match="schedule"):
+        run_anneal("single", 2)
+    with pytest.raises(TypeError, match="schedule"):
+        minimize(lambda x: x[:, 0], 1, 1)
+    with pytest.raises(TypeError, match="schedule"):
+        d_h_by_optimization(MIXED, KET0, restarts=1)
+
+
+def test_minimize_rows_hold_blocks_of_the_dimension():
+    # the row length is blocks * 2*dim^2, and every kept point is gauged blockwise
+    rows = []
+
+    def objective(x):
+        rows.append(x.copy())
+        return x[:, 0]
+
+    _, best_x, _ = minimize(objective, 3, 2, _FAST, restarts=2)
+    assert best_x.shape == (2 * 2 * 9,)
+    for x in rows[:1] + [best_x[None]]:
+        assert np.allclose(np.linalg.norm(x.reshape(len(x), 2, 18), axis=-1), np.sqrt(3.0))
 
 
 def test_result_dict_shape():

@@ -247,6 +247,19 @@ def test_invalid_configuration_exits_64(tmp_path, capsys, small_arange):
     assert main(["compare", str(p), str(p), "--restarts", "0"]) == 64
 
 
+def test_count_caps_exit_64(tmp_path, capsys, small_arange, small_linspace):
+    # each would hold gigabytes at once: a pair grid of 100**4 points, and
+    # 10**6 random bases of dim 8
+    assert main(["purescan", "--grid-steps", "100"]) == 64
+    assert "cap of 10000000 pair-grid points" in capsys.readouterr().err
+    paths = [str(tmp_path / f"{k}.json") for k in "ab"]
+    for rho, path in zip(sample_states(8, 4, [0, 1]), paths):
+        write_state_file(rho, path)
+    assert main(["compare"] + paths + ["--restarts", "1000000"]) == 64
+    captured = capsys.readouterr()
+    assert "cap of 10000000 random-basis entries" in captured.err and captured.out == ""
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["audit", "--dim", "2"]) == 64  # missing --samples
     assert main(["anneal", "--dim", "2", "--objective", "bogus"]) == 64

@@ -28,12 +28,14 @@ from qjsd.divergences import (
     von_neumann_entropy,
     wootters_distance,
 )
-from qjsd.errors import DimMismatch, DomainError, InvalidConfig, SupportViolation
+import qjsd.divergences as div_mod
+from qjsd.errors import DimMismatch, DomainError, InvalidConfig, QjsdError, SupportViolation
 from qjsd.states import (
     CounterStream,
     density_from_pure,
     derive_seed,
     projective_povm,
+    sample_states,
     unitaries_from_ginibre,
 )
 
@@ -360,6 +362,18 @@ def test_scan_fine_grid_nonnegative_and_degenerate_argmin():
     assert on_phi_branch or on_psi_branch
 
 
+def test_scan_caps_its_pair_grid(small_linspace, monkeypatch):
+    # about 105 B per point of the grid_steps**4 pair grid, held at once: a
+    # grid of 100 would need about 10 GB
+    for grid_steps in (57, 100, 10**9):
+        with pytest.raises(InvalidConfig, match="cap of 10000000 pair-grid points"):
+            pure_triangle_scan(grid_steps)
+    monkeypatch.setattr(div_mod, "_MAX_SCAN_POINTS", 3**4)
+    assert pure_triangle_scan(3, 3) == pure_triangle_scan(np.int64(3), 3)  # the cap itself is admitted
+    with pytest.raises(InvalidConfig, match="grid_steps\\*\\*4 = 256 exceeds the cap of 81"):
+        pure_triangle_scan(4, 3)
+
+
 def test_scan_rejects_tiny_grid():
     with pytest.raises(ValueError):
         pure_triangle_scan(1)
@@ -557,6 +571,19 @@ def _bloch_circle_scan_max(rho, sigma, step=1e-3):
     return float(max(values[k], djs(np.array([(lo + hi) / 2.0]))[0]))
 
 
+def test_djs1_caps_its_random_bases(small_arange, monkeypatch):
+    # about 125 B per entry of the restarts x N x N bases, held at once:
+    # 10**6 restarts at N = 8 would need about 8 GB
+    a, b = sample_states(8, 1, [0, 1])
+    for restarts in (156_251, 10**6):  # 156_250 * 64 is the cap
+        with pytest.raises(InvalidConfig, match="cap of 10000000 random-basis entries"):
+            djs1_lower_bound(a, b, restarts=restarts)
+    monkeypatch.setattr(div_mod, "_MAX_BASIS_ENTRIES", 3 * 64)
+    djs1_lower_bound(a, b, restarts=3)  # the cap itself is admitted
+    with pytest.raises(InvalidConfig, match="restarts \\* dim\\*\\*2 = 256 exceeds"):
+        djs1_lower_bound(a, b, restarts=4)
+
+
 def test_djs1_gap_for_noncommuting_pair():
     # |0><0| vs |+><+|: the measured divergence cannot reach the quantum one
     full = qjsd(KET0, PLUS)
@@ -574,6 +601,37 @@ def test_djs1_gap_for_noncommuting_pair():
 # ---------------------------------------------------------------------------
 # Fidelity and the purification metric
 # ---------------------------------------------------------------------------
+
+_BASIS_POVM = projective_povm(np.eye(2))
+# each function of a pair of states, as a function of the pair; triangle_defect
+# takes the pair as the outer states and, in a second entry, as its pivot
+_PAIR_FUNCTIONS = {
+    "qjsd": qjsd,
+    "qjsd_sqrt": qjsd_sqrt,
+    "triangle_defect": lambda a, b: triangle_defect(a, MIXED, b),
+    "triangle_defect_pivot": lambda a, b: triangle_defect(MIXED, a, b),
+    "relative_entropy": relative_entropy,
+    "qjsd_via_relative_entropy": qjsd_via_relative_entropy,
+    "fidelity": fidelity,
+    "qjsd_spectral": qjsd_spectral,
+    "djs1_lower_bound": lambda a, b: djs1_lower_bound(a, b, restarts=2),
+    "measured_jsd": lambda a, b: measured_jsd(a, b, _BASIS_POVM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
+def test_pair_functions_reject_what_is_not_a_state(name):
+    fn = _PAIR_FUNCTIONS[name]
+    not_psd = np.diag([1.2, -0.2]).astype(complex)  # unit trace
+    for bad, good in [(2.0 * MIXED, MIXED), (5.0 * np.eye(2), np.zeros((2, 2))), (4.0 * np.eye(2), 4.0 * np.eye(2))]:
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="trace is .*, expected 1 within 1e-10"):
+                fn(*pair)
+    for pair in ((not_psd, MIXED), (MIXED, not_psd)):
+        with pytest.raises(QjsdError):  # DomainError from the qjsd kernel, NotPositive elsewhere
+            fn(*pair)
+    assert np.isfinite(fn(KET0, MIXED))
+
 
 def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):
     # fidelity, qjsd_spectral and djs1_lower_bound share one cached

@@ -18,6 +18,9 @@ The set:
 - `qjsd compare` on the 210 pairs of `make_inputs(1, dir)`, pair k with
   `--seed k`: f"{status}\\n{stdout}" of each table, concatenated in order;
 - `repr(triangle_defect(*t))` of the same inputs' 210 triplets, concatenated;
+- `repr` of `von_neumann_entropy` of each state, `qjsd_via_relative_entropy`
+  and `measured_jsd` in the computational basis, and the bytes of
+  `purification(rho, I)`, of the same inputs' 210 pairs, concatenated;
 - `repr(d_h_by_optimization(rho, sigma, restarts=2, seed=k))` on a short fixed
   schedule, of the same inputs' four dim-2 and four dim-3 pairs, pair k of a
   dim with seed k, concatenated;
@@ -56,7 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from qjsd import audit, cli, divergences  # noqa: E402
+from qjsd import audit, cli, divergences, states  # noqa: E402
 from qjsd.anneal import AnnealSchedule  # noqa: E402
 import workloads  # noqa: E402
 
@@ -128,6 +131,15 @@ def classical_values() -> list:
     return out
 
 
+def state_paths(rho, sigma) -> bytes:
+    """The single-state and measured outputs of one pair, as bytes."""
+    n = rho.shape[0]
+    values = (divergences.von_neumann_entropy(rho), divergences.von_neumann_entropy(sigma),
+              divergences.qjsd_via_relative_entropy(rho, sigma),
+              divergences.measured_jsd(rho, sigma, states.projective_povm(np.eye(n))))
+    return "".join(map(repr, values)).encode() + states.purification(rho, np.eye(n)).tobytes()
+
+
 def collect(tmp: Path) -> dict:
     """{entry name: SHA-256 hex digest, or SPLIT}."""
     out = {}
@@ -145,6 +157,7 @@ def collect(tmp: Path) -> dict:
     tables = [run(["compare", p.path_a, p.path_b, "--seed", k]) for k, p in enumerate(inputs.pairs)]
     out["compare-tables"] = sha256("".join(f"{status}\n{text}" for status, text in tables).encode())
     out["defects"] = sha256("".join(repr(audit.triangle_defect(*t)) for t in inputs.triplets).encode())
+    out["state-paths"] = sha256(b"".join(state_paths(p.rho, p.sigma) for p in inputs.pairs))
     dh = [divergences.d_h_by_optimization(rho, sigma, restarts=2, seed=k, schedule=DH_SCHEDULE)
           for dim in (2, 3) for k, (rho, sigma) in enumerate(inputs.dh_pairs[dim])]
     out["dh"] = sha256("".join(map(repr, dh)).encode())

@@ -27,6 +27,7 @@ from .divergences import qjsd_sides, qjsd_sqrt
 from .errors import DimMismatch, InvalidConfig
 from .states import (
     CounterStream,
+    check_cap,
     check_count,
     check_real,
     check_sampling,
@@ -41,7 +42,10 @@ log = logging.getLogger("qjsd.audit")
 
 _CHUNK = 512  # triplets per batched linear-algebra pass
 _K_SMALLEST = 10
+# caps on what one call holds at once: the histogram edges, and a chunk's
+# states at about 81 B per state entry
 _MAX_BINS = 10**6
+_MAX_CHUNK_ENTRIES = 10**7
 _TRIPLET = np.arange(3, dtype=np.uint64)  # state index within a triplet
 SAMPLER_VERSION = 2
 
@@ -83,9 +87,8 @@ class Histogram:
 def histogram_edges(bin_width: float, tail_max: float) -> np.ndarray:
     """Edges tiling [-tail_max, tail_max) in steps of bin_width."""
     bin_width, tail_max = check_real("bin_width", bin_width, 0.0), check_real("tail_max", tail_max, 0.0)
-    bins = 2.0 * tail_max / bin_width
-    if not bins <= _MAX_BINS:  # checked before allocating; inf when the quotient overflows
-        raise InvalidConfig(f"2*tail_max/bin_width = {bins} exceeds the cap of {_MAX_BINS} histogram bins")
+    bins = 2.0 * tail_max / bin_width  # inf when the quotient overflows
+    check_cap("2*tail_max/bin_width", bins, _MAX_BINS, "histogram bins")
     nbins = int(round(bins))
     if nbins < 1 or abs(nbins * bin_width - 2.0 * tail_max) > 1e-9:
         raise InvalidConfig(
@@ -182,10 +185,13 @@ def run_audit(
     The histogram resolves the tail [-tail_max, tail_max) at bin_width, with
     anything above falling into the overflow bin. Defects below -tolerance
     count as violations; defects in (-tolerance, 0) are logged as round-off
-    noise. The report is identical for any worker count.
+    noise. The report is identical for any worker count. A worker holds one
+    chunk of up to 512 triplets, capped at 10**7 state entries (dim <= 80).
     """
     dim, mixedness_floor = check_sampling(dim, mixedness_floor)
     samples, seed = check_count("samples", samples), check_seed(seed)
+    chunk_entries = 3 * min(samples, _CHUNK) * dim * dim  # held at once by each worker
+    check_cap("3 * min(samples, 512) * dim**2", chunk_entries, _MAX_CHUNK_ENTRIES, "state entries")
     tolerance = check_real("tolerance", tolerance, 0.0, inclusive=True)
     edges = histogram_edges(bin_width, tail_max)
 

@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, InvalidConfig, SupportViolation, Undefined
-from .linalg import PSD_CLAMP, check_hermitian, clamped_spectrum, eigh, sqrt_from_eigh
+from .errors import DimMismatch, DomainError, SupportViolation, Undefined
+from .linalg import as_complex_matrix, check_hermitian, clamped_spectrum, eigh, sqrt_from_eigh
 from .states import (
     CounterStream,
+    check_cap,
     check_count,
-    check_density,
     check_povm,
     check_pure_state,
     check_seed,
@@ -78,9 +78,9 @@ def _prob_stack(laws) -> np.ndarray:
 def entropy_from_eigenvalues(w) -> np.ndarray | float:
     """Shannon entropy in bits of a spectrum, along the last axis.
 
-    Round-off negatives are clamped to 0 and 0 log 0 is taken as 0.
+    0 log 0 is taken as 0, and a negative entry adds 0 (see clamped_spectrum).
     """
-    lam = np.maximum(np.asarray(w, dtype=np.float64), 0.0)
+    lam = np.asarray(w, dtype=np.float64)
     terms = np.where(lam > 0.0, lam, 1.0)
     np.log2(terms, out=terms)
     terms *= lam
@@ -167,12 +167,15 @@ def schoenberg_check(coefficients, distributions) -> float:
 # Quantum states
 # ---------------------------------------------------------------------------
 
-def _two_states(rho, sigma, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    a = check_hermitian(rho, stack=stack)
-    b = check_hermitian(sigma, stack=stack)
+def _pair(rho, sigma, stack: bool = False) -> np.ndarray:
+    """The two states as one (..., 2, N, N) stack: each square and finite (a
+    stack (..., N, N) with stack=True), of one shape, then the pair Hermitian
+    and of unit trace. The caller reads PSD from the spectra it solves."""
+    a = as_complex_matrix(rho, stack)
+    b = as_complex_matrix(sigma, stack)
     if a.shape != b.shape:
         raise DimMismatch(f"state shapes {a.shape} and {b.shape} differ")
-    return a, b
+    return check_unit_trace(check_hermitian(np.stack([a, b], axis=-3), stack=True))
 
 
 def _pair_key(rho, sigma) -> tuple:
@@ -190,17 +193,15 @@ def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarr
 
     fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
     here, so one compare of a pair validates the pair and solves the stack
-    once. The pair is checked as Hermitian by _two_states, for unit trace,
-    and as PSD from its own spectra w[1] and w[2]. The stack is not checked
-    again, since a - b may deviate from Hermitian by twice the tolerance of
-    its inputs.
+    once. The pair is checked by _pair, and as PSD from its own spectra
+    w[1] and w[2]. The stack is not checked again, since a - b may deviate
+    from Hermitian by twice the tolerance of its inputs.
     """
-    a, b = _two_states(
+    a, b = _pair(
         np.frombuffer(bytes_a, np.complex128).reshape(shape_a),
         np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
     )
     stack = np.stack([a - b, a, b, (a + b) / 2.0])
-    check_unit_trace(stack[1:3])
     w, v = eigh(stack, validate=False)
     clamped_spectrum(w[1:3])  # raises NotPositive below -PSD_CLAMP
     w.flags.writeable = v.flags.writeable = False
@@ -209,8 +210,8 @@ def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarr
 
 def von_neumann_entropy(rho) -> float:
     """H(rho) = -Tr(rho log2 rho); the Shannon entropy of the spectrum."""
-    a = check_density(rho)
-    return float(entropy_from_eigenvalues(np.linalg.eigvalsh(a)))
+    w = np.linalg.eigvalsh(check_unit_trace(check_hermitian(rho)))
+    return float(entropy_from_eigenvalues(clamped_spectrum(w)))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -219,8 +220,7 @@ def relative_entropy(rho, sigma) -> float:
     Defined only when the support of rho lies inside the support of sigma
     (eigenvalue cutoff 1e-12); otherwise raises SupportViolation.
     """
-    a, b = _two_states(rho, sigma)
-    check_unit_trace(np.stack([a, b]))
+    a, b = _pair(rho, sigma)
     r = clamped_spectrum(np.linalg.eigvalsh(a))
     sw, sv = eigh(b, validate=False)
     sw = clamped_spectrum(sw)
@@ -250,8 +250,8 @@ def qjsd_sides(states, spectra=None) -> np.ndarray:
     midpoints are eigensolved. This is the one place the package evaluates
     that entropy difference for density matrices.
 
-    Raises DomainError when an eigensolved matrix has an eigenvalue below
-    -PSD_CLAMP.
+    Raises NotPositive, a DomainError, when an eigensolved matrix has an
+    eigenvalue below -1e-10 (see clamped_spectrum).
     """
     s = np.asarray(states)
     k = s.shape[-3]
@@ -263,9 +263,7 @@ def qjsd_sides(states, spectra=None) -> np.ndarray:
     mids += s[..., :n, :, :]
     mids /= 2.0
     w = np.linalg.eigvalsh(mids if spectra is not None else np.concatenate((s, mids), axis=-3))
-    if w.min() < -PSD_CLAMP:
-        raise DomainError("inputs must be positive semidefinite")
-    h = entropy_from_eigenvalues(w)
+    h = entropy_from_eigenvalues(clamped_spectrum(w))
     h_state = h[..., :k] if spectra is None else entropy_from_eigenvalues(spectra)
     return np.maximum(h[..., -n:] - 0.5 * (h_state[..., :n] + h_state.take(partner, axis=-1)), 0.0)
 
@@ -278,13 +276,11 @@ def qjsd(rho, sigma):
 
     Takes two states, or two stacks (..., N, N) of one shape, and gives one
     divergence per pair: a float for one pair, an array of shape (...) for a
-    stack. Each argument is checked as Hermitian and for unit trace once,
-    and all pairs go through one qjsd_sides call, which raises DomainError
-    for a matrix that is not PSD; a pair gets the same bits in a stack as
-    alone.
+    stack. The pairs are checked once by _pair, and all go through one
+    qjsd_sides call, which raises NotPositive for a matrix that is not PSD;
+    a pair gets the same bits in a stack as alone.
     """
-    a, b = _two_states(rho, sigma, stack=True)
-    out = qjsd_sides(check_unit_trace(np.stack([a, b], axis=-3)))[..., 0]
+    out = qjsd_sides(_pair(rho, sigma, stack=True))[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -295,7 +291,7 @@ def qjsd_via_relative_entropy(rho, sigma) -> float:
     An independent computation path used to cross-check qjsd; relative_entropy
     checks rho and sigma as density matrices.
     """
-    a, b = _two_states(rho, sigma)
+    a, b = _pair(rho, sigma)
     m = (a + b) / 2.0
     return 0.5 * (relative_entropy(a, m) + relative_entropy(b, m))
 
@@ -400,10 +396,7 @@ def pure_triangle_scan(grid_steps: int, x_steps: int = 20) -> ScanResult:
     """
     grid_steps = check_count("grid_steps", grid_steps, least=2)
     x_steps = check_count("x_steps", x_steps, least=2)
-    if grid_steps**4 > _MAX_SCAN_POINTS:  # checked before allocating
-        raise InvalidConfig(
-            f"grid_steps**4 = {grid_steps**4} exceeds the cap of {_MAX_SCAN_POINTS} pair-grid points"
-        )
+    check_cap("grid_steps**4", grid_steps**4, _MAX_SCAN_POINTS, "pair-grid points")
     radii = np.linspace(0.0, 1.0, grid_steps)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_steps, endpoint=False)
     disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -439,9 +432,9 @@ def wootters_distance(psi, phi) -> float:
 
 
 def hilbert_schmidt_distance(a, b) -> float:
-    """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two Hermitian
-    matrices of one shape, validated as qjsd validates its pair."""
-    x, y = _two_states(a, b)
+    """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two states of
+    one shape, checked by _pair; it solves no spectrum, so checks no PSD."""
+    x, y = _pair(a, b)
     d = x - y
     return float(np.sqrt(max(np.vdot(d, d).real, 0.0)))
 
@@ -463,16 +456,18 @@ def measured_jsd(rho, sigma, povm) -> float:
 
     p_i = Tr(E_i rho), q_i = Tr(E_i sigma). Never exceeds qjsd(rho, sigma);
     equality holds when the states commute and the POVM measures their common
-    eigenbasis. The states are validated with check_density and the POVM
-    with check_povm. A projective POVM gets what djs1_lower_bound gives for its
-    basis to a few ulps; djs1_lower_bound contracts over basis columns.
+    eigenbasis. The states are checked by _pair and as PSD from one solve of
+    the pair, the POVM with check_povm. A projective POVM gets what
+    djs1_lower_bound gives for its basis to a few ulps; djs1_lower_bound
+    contracts over basis columns.
     """
-    a, b = _two_states(check_density(rho), check_density(sigma))
+    pair = _pair(rho, sigma)
+    clamped_spectrum(np.linalg.eigvalsh(pair))  # raises NotPositive below -PSD_CLAMP
     elements = check_povm(povm)
-    if elements.shape[1:] != a.shape:
+    if elements.shape[1:] != pair.shape[1:]:
         raise DimMismatch("POVM dimension does not match the states")
-    # p[s, k] = Tr(E_k x_s), with x_0 = a and x_1 = b
-    return _jsd_of_outcomes(np.einsum("kij,sij->sk", elements.conj(), np.stack([a, b])).real)
+    # p[s, k] = Tr(E_k x_s), with x_0 = rho and x_1 = sigma
+    return _jsd_of_outcomes(np.einsum("kij,sij->sk", elements.conj(), pair).real)
 
 
 def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
@@ -496,10 +491,7 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     restarts, seed = check_count("restarts", restarts), check_seed(seed)
     a, b, _, eigenbases = _pair_eigh(*_pair_key(rho, sigma))
     n = a.shape[0]
-    if restarts * n * n > _MAX_BASIS_ENTRIES:  # checked before allocating
-        raise InvalidConfig(
-            f"restarts * dim**2 = {restarts * n * n} exceeds the cap of {_MAX_BASIS_ENTRIES} random-basis entries"
-        )
+    check_cap("restarts * dim**2", restarts * n * n, _MAX_BASIS_ENTRIES, "random-basis entries")
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
     z = CounterStream([derive_seed(seed, 0x5B0B)]).standard_normal(entries)[0]
     u = check_unitary(np.concatenate([eigenbases, unitaries_from_ginibre(z)]))[:, None]
@@ -578,10 +570,10 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, *, schedule) -
     """
     from .anneal import minimize  # deferred: anneal imports this module
 
-    a, b = _two_states(rho, sigma)
+    a, b = _pair(rho, sigma)
     n = a.shape[0]
-    psi_conj = purification(a, np.eye(n)).conj()  # validates a as a density matrix
-    sw, sv = eigh(check_density(b), validate=False)
+    psi_conj = purification(a, np.eye(n)).conj()  # reads a as PSD from its solve
+    sw, sv = eigh(b, validate=False)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
     objective = functools.partial(_dh_objective, weighted=weighted, psi_conj=psi_conj, n=n)
     best, _, _ = minimize(objective, n, 1, schedule, seed=seed, restarts=restarts)

@@ -13,10 +13,6 @@ class NonConvergence(QjsdError):
     """The eigensolver failed to converge (pathological input)."""
 
 
-class NotPositive(QjsdError):
-    """A matrix expected to be positive semidefinite has an eigenvalue below -1e-10."""
-
-
 class NotUnitary(QjsdError):
     """A matrix expected to be unitary is not, beyond tolerance."""
 
@@ -26,7 +22,11 @@ class NotHermitian(QjsdError):
 
 
 class DomainError(QjsdError):
-    """A scalar argument lies outside its admissible interval."""
+    """An argument lies outside its domain: a scalar out of range, or a matrix that is not PSD."""
+
+
+class NotPositive(DomainError):
+    """A matrix expected to be positive semidefinite has an eigenvalue below -1e-10."""
 
 
 class Undefined(QjsdError):

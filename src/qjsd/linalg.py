@@ -58,8 +58,8 @@ def eigh(m, validate: bool = True):
 
 def clamped_spectrum(w: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues in [-PSD_CLAMP, 0) to 0; below -PSD_CLAMP raise
-    NotPositive."""
-    lo = float(np.min(w))
+    NotPositive. The package's one PSD verdict on a spectrum."""
+    lo = w.min()
     if lo < -PSD_CLAMP:
         raise NotPositive(f"eigenvalue {lo:.3e} below -{PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)

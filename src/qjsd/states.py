@@ -54,6 +54,8 @@ from .linalg import (
 )
 
 REJECTION_BUDGET = 10**6
+# cap on what one sample_states call holds at once, about 81 B per state entry
+_MAX_SAMPLE_ENTRIES = 10**7
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -113,6 +115,13 @@ def check_count(name: str, value, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_cap(what: str, value, cap: int, unit: str) -> None:
+    """InvalidConfig naming the cap unless value <= cap, so NaN and inf fail
+    too. A caller checks the size of an array before it allocates it."""
+    if not value <= cap:
+        raise InvalidConfig(f"{what} = {value} exceeds the cap of {cap} {unit}")
 
 
 def check_seed(seed) -> int:
@@ -222,13 +231,12 @@ def purification(rho, v) -> np.ndarray:
 
     Returns sum_i sqrt(r_i) |r_i> (x) (v |i>), with {r_i, |r_i>} the spectral
     decomposition of rho and v an N x N unitary. Tracing out the second factor
-    recovers rho.
+    recovers rho, which is checked as a density matrix.
     """
-    a = check_density(rho)
-    n = a.shape[0]
-    u = check_unitary(v, n)
+    a = check_unit_trace(check_hermitian(rho))
+    u = check_unitary(v, a.shape[0])
     w, vecs = eigh(a, validate=False)
-    s = np.sqrt(clamped_spectrum(w))
+    s = np.sqrt(clamped_spectrum(w))  # raises NotPositive below -PSD_CLAMP
     return ((vecs * s) @ u.T).reshape(-1)
 
 
@@ -355,10 +363,13 @@ def sample_states(dim: int, seed: int, indices, mixedness_floor: float | None = 
 
     A state has the same bits whichever other indices are drawn with it. With
     a mixedness floor in [0, 1 - 1/dim), only states whose linear entropy
-    1 - Tr(rho^2) reaches the floor are kept, by rejection.
+    1 - Tr(rho^2) reaches the floor are kept, by rejection. At most 10**7
+    state entries, len(indices) * dim**2, are drawn at once.
     """
     dim, mixedness_floor = check_sampling(dim, mixedness_floor)
-    keys = derive_seed(check_seed(seed), np.asarray(indices, dtype=np.uint64).reshape(-1))
+    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    check_cap("len(indices) * dim**2", indices.size * dim * dim, _MAX_SAMPLE_ENTRIES, "state entries")
+    keys = derive_seed(check_seed(seed), indices)
     return states_from_params(*draw_state_params(CounterStream(keys), dim, mixedness_floor))
 
 

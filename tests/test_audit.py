@@ -72,6 +72,28 @@ def test_histogram_edges_tile_range(small_arange):
     assert histogram_edges(1e-6, 0.5).size == 10**6 + 1  # the cap itself is allowed
 
 
+def test_run_audit_caps_its_chunk(monkeypatch):
+    # about 81 B per state entry of a chunk of up to 512 triplets, held at
+    # once by each worker: dims up to 80 are admitted
+    def no_shards(*args, **kwargs):
+        raise AssertionError("an over-cap chunk reached the shards")
+
+    with monkeypatch.context() as m:
+        m.setattr(audit_mod, "map_groups", no_shards)
+        for dim, samples in ((81, 512), (81, 10**9), (10**4, 1)):
+            with pytest.raises(InvalidConfig, match="cap of 10000000 state entries"):
+                run_audit(dim, samples, 0)
+    assert 3 * 512 * 80**2 <= audit_mod._MAX_CHUNK_ENTRIES < 3 * 512 * 81**2
+    monkeypatch.setattr(audit_mod, "_MAX_CHUNK_ENTRIES", 3 * 10 * 4)
+    assert run_audit(2, 10, 0).samples == 10  # the cap itself is admitted
+    with pytest.raises(InvalidConfig, match=r"3 \* min\(samples, 512\) \* dim\*\*2 = 132 exceeds the cap of 120"):
+        run_audit(2, 11, 0)
+    monkeypatch.setattr(audit_mod, "_MAX_CHUNK_ENTRIES", 3 * 512 * 4)
+    assert run_audit(2, 600, 0).samples == 600  # only one chunk is held at once
+    with pytest.raises(InvalidConfig, match="= 13824 exceeds"):
+        run_audit(3, 600, 0)
+
+
 def test_single_sample_bookkeeping():
     rep = run_audit(dim=2, samples=1, seed=9)
     h = rep.histogram

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qjsd.audit as audit_mod
+import qjsd.states as states_mod
 from qjsd.cli import SAMPLE_CHUNK, build_parser, main
 from qjsd.states import linear_entropy, read_state_file, sample_states, write_state_file
 
@@ -258,6 +260,21 @@ def test_count_caps_exit_64(tmp_path, capsys, small_arange, small_linspace):
     assert main(["compare"] + paths + ["--restarts", "1000000"]) == 64
     captured = capsys.readouterr()
     assert "cap of 10000000 random-basis entries" in captured.err and captured.out == ""
+
+
+def test_state_caps_exit_64(tmp_path, capsys, monkeypatch):
+    # a chunk of 512 triplets of dim 81, or of 512 states of dim 140, would
+    # hold over 10**7 state entries at once
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an over-cap size reached the sampler")
+
+    monkeypatch.setattr(states_mod, "draw_state_params", no_draws)
+    monkeypatch.setattr(audit_mod, "draw_state_params", no_draws)
+    out = str(tmp_path / "x")
+    for argv in (["audit", "--dim", "81", "--samples", "512"], ["sample", "--dim", "140", "--samples", "512"]):
+        assert main(argv + ["--out", out]) == 64
+        assert "cap of 10000000 state entries" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_errors_exit_64(capsys):

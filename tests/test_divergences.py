@@ -28,13 +28,15 @@ from qjsd.divergences import (
     von_neumann_entropy,
     wootters_distance,
 )
+import qjsd.anneal as anneal_mod
 import qjsd.divergences as div_mod
-from qjsd.errors import DimMismatch, DomainError, InvalidConfig, QjsdError, SupportViolation
+from qjsd.errors import DimMismatch, DomainError, InvalidConfig, NotPositive, QjsdError, SupportViolation
 from qjsd.states import (
     CounterStream,
     density_from_pure,
     derive_seed,
     projective_povm,
+    purification,
     sample_states,
     unitaries_from_ginibre,
 )
@@ -631,6 +633,62 @@ def test_pair_functions_reject_what_is_not_a_state(name):
         with pytest.raises(QjsdError):  # DomainError from the qjsd kernel, NotPositive elsewhere
             fn(*pair)
     assert np.isfinite(fn(KET0, MIXED))
+
+
+_DH_SCHEDULE = AnnealSchedule(steps_per_temperature=2, t_initial=0.5, t_final=0.4, cooling_ratio=0.7)
+# every function of two states: those above, and two that read no PSD verdict
+# from a spectrum of the pair itself
+_TWO_STATE_FUNCTIONS = {
+    **_PAIR_FUNCTIONS,
+    "hilbert_schmidt_distance": hilbert_schmidt_distance,
+    "d_h_by_optimization": lambda a, b: d_h_by_optimization(a, b, restarts=1, schedule=_DH_SCHEDULE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_STATE_FUNCTIONS))
+def test_two_state_functions_check_each_argument_before_stacking(name):
+    # two length-2 vectors stack to one 2 x 2 matrix, and a (3, 2, 2) stack
+    # is not one state
+    fn = _TWO_STATE_FUNCTIONS[name]
+    with pytest.raises(DimMismatch):
+        fn(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    if name not in ("qjsd", "qjsd_sqrt"):  # these two take stacks of pairs
+        with pytest.raises(DimMismatch):
+            fn(np.stack([MIXED] * 3), np.stack([MIXED] * 3))
+
+
+def test_qjsd_names_the_negative_eigenvalue():
+    not_psd = np.diag([1.2, -0.2]).astype(complex)
+    for fn in (qjsd, lambda a, b: triangle_defect(a, MIXED, b)):
+        with pytest.raises(NotPositive, match="eigenvalue -2.000e-01 below -1e-10") as info:
+            fn(not_psd, MIXED)
+        assert isinstance(info.value, DomainError)
+
+
+def test_hilbert_schmidt_distance_checks_the_trace():
+    with pytest.raises(ValueError, match="trace is 2.0, expected 1 within 1e-10"):
+        hilbert_schmidt_distance(2.0 * MIXED, MIXED)
+    assert hilbert_schmidt_distance(KET0, KET1) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+
+
+def test_each_state_is_solved_once(rng, monkeypatch):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    povm = projective_povm(np.eye(3))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k))
+    monkeypatch.setattr(anneal_mod, "minimize", lambda *args, **kwargs: (0.0, None, None))
+    cases = [
+        (1, lambda: von_neumann_entropy(rho)),
+        (1, lambda: purification(rho, np.eye(3))),
+        (2, lambda: d_h_by_optimization(rho, sigma, restarts=1, schedule=_DH_SCHEDULE)),
+        (2, lambda: measured_jsd(rho, sigma, povm)),  # the pair's solve and the POVM's check
+    ]
+    for want, call in cases:
+        calls.clear()
+        call()
+        assert len(calls) == want
 
 
 def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):

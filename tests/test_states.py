@@ -177,6 +177,25 @@ def test_sample_states_checks_dim_and_floor(dim, floor):
         sample_states(dim, 0, [0], floor)
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("an over-cap size reached the sampler")
+
+
+def test_sample_states_caps_its_state_entries(monkeypatch):
+    # about 81 B per entry of the len(indices) x dim x dim states, held at
+    # once: qjsd sample's chunks of 512 states are admitted up to dim 139
+    with monkeypatch.context() as m:
+        m.setattr(states_mod, "draw_state_params", _no_draws)
+        for dim, n in ((140, 512), (10**4, 1)):
+            with pytest.raises(InvalidConfig, match="cap of 10000000 state entries"):
+                sample_states(dim, 0, np.arange(n))
+    assert 512 * 139**2 <= states_mod._MAX_SAMPLE_ENTRIES < 512 * 140**2
+    monkeypatch.setattr(states_mod, "_MAX_SAMPLE_ENTRIES", 3 * 4)
+    assert sample_states(2, 0, [0, 1, 2]).shape == (3, 2, 2)  # the cap itself is admitted
+    with pytest.raises(InvalidConfig, match=r"len\(indices\) \* dim\*\*2 = 16 exceeds the cap of 12"):
+        sample_states(2, 0, [0, 1, 2, 3])
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_counter_sampler_law(dim):
     n = 20_000

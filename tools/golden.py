@@ -21,6 +21,8 @@ The set:
 - `repr` of `von_neumann_entropy` of each state, `qjsd_via_relative_entropy`
   and `measured_jsd` in the computational basis, and the bytes of
   `purification(rho, I)`, of the same inputs' 210 pairs, concatenated;
+- `repr(relative_entropy(rho, sigma))` of the same inputs' 210 pairs, or the
+  name of the error it raises, concatenated;
 - `repr(d_h_by_optimization(rho, sigma, restarts=2, seed=k))` on a short fixed
   schedule, of the same inputs' four dim-2 and four dim-3 pairs, pair k of a
   dim with seed k, concatenated;
@@ -140,6 +142,14 @@ def state_paths(rho, sigma) -> bytes:
     return "".join(map(repr, values)).encode() + states.purification(rho, np.eye(n)).tobytes()
 
 
+def relative_entropy(rho, sigma) -> str:
+    """repr of S(rho || sigma), or the name of the error it raises."""
+    try:
+        return repr(divergences.relative_entropy(rho, sigma))
+    except Exception as exc:
+        return type(exc).__name__
+
+
 def collect(tmp: Path) -> dict:
     """{entry name: SHA-256 hex digest, or SPLIT}."""
     out = {}
@@ -158,6 +168,7 @@ def collect(tmp: Path) -> dict:
     out["compare-tables"] = sha256("".join(f"{status}\n{text}" for status, text in tables).encode())
     out["defects"] = sha256("".join(repr(audit.triangle_defect(*t)) for t in inputs.triplets).encode())
     out["state-paths"] = sha256(b"".join(state_paths(p.rho, p.sigma) for p in inputs.pairs))
+    out["relative-entropy"] = sha256("".join(relative_entropy(p.rho, p.sigma) for p in inputs.pairs).encode())
     dh = [divergences.d_h_by_optimization(rho, sigma, restarts=2, seed=k, schedule=DH_SCHEDULE)
           for dim in (2, 3) for k, (rho, sigma) in enumerate(inputs.dh_pairs[dim])]
     out["dh"] = sha256("".join(map(repr, dh)).encode())

@@ -22,9 +22,13 @@ import numpy as np
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
 from .divergences import qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
-from .states import check_count, check_real, check_seed, derive_seed, map_groups, state_to_dict
+from .states import check_cap, check_count, check_real, check_seed, derive_seed, map_groups, state_to_dict
 
 _TRACE_FLOOR = 1e-30
+# cap on what one minimize call holds at once: each restart's row and one
+# best value per temperature, at up to about 120 B per entry through the
+# JSON of `qjsd anneal`
+_MAX_RUN_ENTRIES = 7 * 10**6
 
 
 @dataclass(frozen=True)
@@ -199,11 +203,20 @@ def minimize(
     restart, so the result does not depend on `workers`. The restarts are
     split into groups by states.map_groups, whose picklability rule then
     applies to `objective`.
+
+    At most 7 * 10**6 entries, restarts * (temperatures + n_params), are
+    held at once; a larger run raises InvalidConfig before it starts.
     """
     dim, blocks = check_count("dim", dim), check_count("blocks", blocks)
     schedule = schedule.validate()
     restarts, seed = check_count("restarts", restarts), check_seed(seed)
-    chains = partial(_chains, objective, dim, blocks * 2 * dim * dim, schedule, seed)
+    n_params = blocks * 2 * dim * dim
+    temperatures = math.ceil(
+        (math.log(schedule.t_final) - math.log(schedule.t_initial)) / math.log(schedule.cooling_ratio)
+    )
+    check_cap("restarts * (temperatures + n_params)", restarts * (temperatures + n_params),
+              _MAX_RUN_ENTRIES, "trace and parameter entries")
+    chains = partial(_chains, objective, dim, n_params, schedule, seed)
     outcomes = [o for part in map_groups(chains, restarts, workers) for o in part]
     best_f, best_x, _ = min(outcomes, key=lambda o: o[0])  # min keeps the first of equals
     return best_f, best_x, [trace for _, _, trace in outcomes]

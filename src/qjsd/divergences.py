@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatch, DomainError, SupportViolation, Undefined
-from .linalg import as_complex_matrix, check_hermitian, clamped_spectrum, eigh, sqrt_from_eigh
+from .linalg import clamped_spectrum, eigh, sqrt_from_eigh
 from .states import (
     CounterStream,
     check_cap,
@@ -29,10 +29,9 @@ from .states import (
     check_povm,
     check_pure_state,
     check_seed,
-    check_unit_trace,
+    check_states,
     check_unitary,
     derive_seed,
-    purification,
     unitaries_from_ginibre,
 )
 
@@ -167,17 +166,6 @@ def schoenberg_check(coefficients, distributions) -> float:
 # Quantum states
 # ---------------------------------------------------------------------------
 
-def _pair(rho, sigma, stack: bool = False) -> np.ndarray:
-    """The two states as one (..., 2, N, N) stack: each square and finite (a
-    stack (..., N, N) with stack=True), of one shape, then the pair Hermitian
-    and of unit trace. The caller reads PSD from the spectra it solves."""
-    a = as_complex_matrix(rho, stack)
-    b = as_complex_matrix(sigma, stack)
-    if a.shape != b.shape:
-        raise DimMismatch(f"state shapes {a.shape} and {b.shape} differ")
-    return check_unit_trace(check_hermitian(np.stack([a, b], axis=-3), stack=True))
-
-
 def _pair_key(rho, sigma) -> tuple:
     """The cache key of a state pair: shape and bytes of each input as complex128."""
     a = np.asarray(rho, dtype=np.complex128)
@@ -187,17 +175,17 @@ def _pair_key(rho, sigma) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, w, v) for the pair of a _pair_key: the pair as read-only views
-    of the key's bytes, validated as density matrices, and the read-only
-    eigensystem of the stack [a - b, a, b, (a + b)/2].
+    """(a, b, w, v) for the pair of a _pair_key: the pair read from the key's
+    bytes and checked as density matrices, and the read-only eigensystem of
+    the stack [a - b, a, b, (a + b)/2].
 
     fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
     here, so one compare of a pair validates the pair and solves the stack
-    once. The pair is checked by _pair, and as PSD from its own spectra
+    once. The pair is checked by check_states, and as PSD from its own spectra
     w[1] and w[2]. The stack is not checked again, since a - b may deviate
     from Hermitian by twice the tolerance of its inputs.
     """
-    a, b = _pair(
+    a, b = check_states(
         np.frombuffer(bytes_a, np.complex128).reshape(shape_a),
         np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
     )
@@ -210,7 +198,7 @@ def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarr
 
 def von_neumann_entropy(rho) -> float:
     """H(rho) = -Tr(rho log2 rho); the Shannon entropy of the spectrum."""
-    w = np.linalg.eigvalsh(check_unit_trace(check_hermitian(rho)))
+    w = np.linalg.eigvalsh(check_states(rho)[0])
     return float(entropy_from_eigenvalues(clamped_spectrum(w)))
 
 
@@ -220,21 +208,20 @@ def relative_entropy(rho, sigma) -> float:
     Defined only when the support of rho lies inside the support of sigma
     (eigenvalue cutoff 1e-12); otherwise raises SupportViolation.
     """
-    a, b = _pair(rho, sigma)
-    r = clamped_spectrum(np.linalg.eigvalsh(a))
+    a, b = check_states(rho, sigma)
     sw, sv = eigh(b, validate=False)
-    sw = clamped_spectrum(sw)
-    weights = np.einsum("ij,jk,ki->i", sv.conj().T, a, sv).real
-    weights = np.maximum(weights, 0.0)
-    null = sw < SUPPORT_CUTOFF
-    if float(weights[null].sum()) > _SUPPORT_WEIGHT_TOL:
-        raise SupportViolation(
-            f"rho has weight {float(weights[null].sum()):.3e} outside the support of sigma"
-        )
-    tr_rho_log_rho = -entropy_from_eigenvalues(r)
-    keep = ~null
-    tr_rho_log_sigma = float(np.sum(weights[keep] * np.log2(sw[keep])))
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return _relative_entropy(a, clamped_spectrum(np.linalg.eigvalsh(a)), clamped_spectrum(sw), sv)
+
+
+def _relative_entropy(a: np.ndarray, r: np.ndarray, sw: np.ndarray, sv: np.ndarray) -> float:
+    """Tr[a (log2 a - log2 sigma)] from the clamped spectrum r of a state a
+    checked by check_states, and sigma's eigensystem with sw clamped."""
+    weights = np.maximum(np.einsum("ij,jk,ki->i", sv.conj().T, a, sv).real, 0.0)
+    keep = sw >= SUPPORT_CUTOFF
+    outside = float(weights[~keep].sum())
+    if outside > _SUPPORT_WEIGHT_TOL:
+        raise SupportViolation(f"rho has weight {outside:.3e} outside the support of sigma")
+    return -entropy_from_eigenvalues(r) - float(np.sum(weights[keep] * np.log2(sw[keep])))
 
 
 def qjsd_sides(states, spectra=None) -> np.ndarray:
@@ -276,11 +263,11 @@ def qjsd(rho, sigma):
 
     Takes two states, or two stacks (..., N, N) of one shape, and gives one
     divergence per pair: a float for one pair, an array of shape (...) for a
-    stack. The pairs are checked once by _pair, and all go through one
+    stack. The pairs are checked once by check_states, and all go through one
     qjsd_sides call, which raises NotPositive for a matrix that is not PSD;
     a pair gets the same bits in a stack as alone.
     """
-    out = qjsd_sides(_pair(rho, sigma, stack=True))[..., 0]
+    out = qjsd_sides(check_states(rho, sigma, stack=True))[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -288,12 +275,15 @@ def qjsd_via_relative_entropy(rho, sigma) -> float:
     """Same divergence computed as the symmetrized relative entropy to the
     midpoint state, (S(rho, m) + S(sigma, m))/2 with m = (rho+sigma)/2.
 
-    An independent computation path used to cross-check qjsd; relative_entropy
-    checks rho and sigma as density matrices.
+    An independent computation path used to cross-check qjsd. The pair is
+    checked once by check_states and as PSD from its spectra, and rho, sigma
+    and m are each solved once.
     """
-    a, b = _pair(rho, sigma)
-    m = (a + b) / 2.0
-    return 0.5 * (relative_entropy(a, m) + relative_entropy(b, m))
+    a, b = check_states(rho, sigma)
+    ra, rb = (clamped_spectrum(np.linalg.eigvalsh(x)) for x in (a, b))
+    mw, mv = eigh((a + b) / 2.0, validate=False)
+    mw = clamped_spectrum(mw)
+    return 0.5 * (_relative_entropy(a, ra, mw, mv) + _relative_entropy(b, rb, mw, mv))
 
 
 def qjsd_spectral(rho, sigma) -> float:
@@ -433,8 +423,8 @@ def wootters_distance(psi, phi) -> float:
 
 def hilbert_schmidt_distance(a, b) -> float:
     """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two states of
-    one shape, checked by _pair; it solves no spectrum, so checks no PSD."""
-    x, y = _pair(a, b)
+    one shape, checked by check_states; it solves no spectrum, so checks no PSD."""
+    x, y = check_states(a, b)
     d = x - y
     return float(np.sqrt(max(np.vdot(d, d).real, 0.0)))
 
@@ -456,12 +446,12 @@ def measured_jsd(rho, sigma, povm) -> float:
 
     p_i = Tr(E_i rho), q_i = Tr(E_i sigma). Never exceeds qjsd(rho, sigma);
     equality holds when the states commute and the POVM measures their common
-    eigenbasis. The states are checked by _pair and as PSD from one solve of
+    eigenbasis. The states are checked by check_states and as PSD from one solve of
     the pair, the POVM with check_povm. A projective POVM gets what
     djs1_lower_bound gives for its basis to a few ulps; djs1_lower_bound
     contracts over basis columns.
     """
-    pair = _pair(rho, sigma)
+    pair = check_states(rho, sigma)
     clamped_spectrum(np.linalg.eigvalsh(pair))  # raises NotPositive below -PSD_CLAMP
     elements = check_povm(povm)
     if elements.shape[1:] != pair.shape[1:]:
@@ -570,10 +560,10 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, *, schedule) -
     """
     from .anneal import minimize  # deferred: anneal imports this module
 
-    a, b = _pair(rho, sigma)
+    a, b = check_states(rho, sigma)
     n = a.shape[0]
-    psi_conj = purification(a, np.eye(n)).conj()  # reads a as PSD from its solve
-    sw, sv = eigh(b, validate=False)
+    (rw, rv), (sw, sv) = eigh(a, validate=False), eigh(b, validate=False)
+    psi_conj = (rv * np.sqrt(clamped_spectrum(rw))).reshape(-1).conj()  # purification(a, I)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
     objective = functools.partial(_dh_objective, weighted=weighted, psi_conj=psi_conj, n=n)
     best, _, _ = minimize(objective, n, 1, schedule, seed=seed, restarts=restarts)

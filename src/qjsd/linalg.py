@@ -25,17 +25,15 @@ def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or (a.ndim > 2 and not stack):
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
 
-def check_hermitian(m, stack: bool = False) -> np.ndarray:
-    """Validate Hermitian symmetry: the max entrywise deviation from m† is
-    within HERMITIAN_TOL; with stack=True, of every matrix of a stack
-    (..., N, N)."""
-    a = as_complex_matrix(m, stack)
-    dev = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)))
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """a, a matrix or a stack (..., N, N) from as_complex_matrix; NotHermitian
+    unless its max entrywise deviation from a† is within HERMITIAN_TOL."""
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max()
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"deviation from conjugate transpose is {dev:.3e} > {HERMITIAN_TOL:.0e}")
     return a
@@ -51,7 +49,7 @@ def eigh(m, validate: bool = True):
     NonConvergence.
     """
     try:
-        return np.linalg.eigh(check_hermitian(m) if validate else m)
+        return np.linalg.eigh(check_hermitian(as_complex_matrix(m)) if validate else m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 

@@ -141,18 +141,23 @@ def check_real(name: str, value, low: float, high: float = np.inf, inclusive: bo
     return float(value)
 
 
-def check_unit_trace(a: np.ndarray) -> np.ndarray:
-    """a, a matrix or a stack (..., N, N); ValueError unless each trace is 1
-    within TRACE_TOL."""
-    for tr in np.trace(a, axis1=-2, axis2=-1).real.ravel().tolist():
+def check_states(*mats, stack: bool = False) -> np.ndarray:
+    """The states as one (..., k, N, N) stack, k = len(mats): each square and
+    finite (a stack (..., N, N) with stack=True), of one shape, then Hermitian
+    and of unit trace. The one state check; callers read PSD from their spectra."""
+    arrays = [as_complex_matrix(m, stack) for m in mats]
+    if len({a.shape for a in arrays}) > 1:
+        raise DimMismatch(f"state shapes {' and '.join(str(a.shape) for a in arrays)} differ")
+    s = check_hermitian(np.stack(arrays, axis=-3) if len(arrays) > 1 else arrays[0][..., None, :, :])
+    for tr in s.trace(axis1=-2, axis2=-1).real.ravel().tolist():
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_TOL:.0e}")
-    return a
+    return s
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD up to round-off."""
-    a = check_unit_trace(check_hermitian(rho))
+    """rho checked by check_states, and PSD up to round-off by its spectrum."""
+    a = check_states(rho)[0]
     clamped_spectrum(np.linalg.eigvalsh(a))  # raises NotPositive below -PSD_CLAMP
     return a
 
@@ -193,7 +198,7 @@ def check_povm(elements) -> np.ndarray:
         raise ValueError("POVM needs at least one element")
     if len({np.shape(e) for e in elements}) > 1:
         raise DimMismatch("POVM elements have mixed dimensions")
-    mats = check_hermitian(elements, stack=True)
+    mats = check_hermitian(as_complex_matrix(elements, stack=True))
     if mats.ndim != 3:
         raise DimMismatch(f"expected a list of square matrices, got shape {mats.shape}")
     clamped_spectrum(np.linalg.eigvalsh(mats))  # raises NotPositive below -PSD_CLAMP
@@ -215,7 +220,7 @@ def density_from_pure(psi) -> np.ndarray:
 
 def linear_entropy(rho) -> float:
     """1 - Tr(rho^2); zero for pure states, 1 - 1/N for maximally mixed."""
-    a = np.asarray(rho, dtype=np.complex128)
+    a = check_states(rho)[0]
     return float(1.0 - np.vdot(a, a).real)
 
 
@@ -231,9 +236,9 @@ def purification(rho, v) -> np.ndarray:
 
     Returns sum_i sqrt(r_i) |r_i> (x) (v |i>), with {r_i, |r_i>} the spectral
     decomposition of rho and v an N x N unitary. Tracing out the second factor
-    recovers rho, which is checked as a density matrix.
+    recovers rho, which is checked by check_states and as PSD from its solve.
     """
-    a = check_unit_trace(check_hermitian(rho))
+    a = check_states(rho)[0]
     u = check_unitary(v, a.shape[0])
     w, vecs = eigh(a, validate=False)
     s = np.sqrt(clamped_spectrum(w))  # raises NotPositive below -PSD_CLAMP

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -404,3 +404,30 @@ def test_result_needs_a_schedule():
         "objective_trace": res.objective_trace,
     }
     assert json.dumps(result_to_dict(res)) == json.dumps(layout)
+
+
+def test_minimize_caps_restarts_and_temperatures(monkeypatch):
+    # the default schedule has 270 temperatures, and a dim-2 triplet row 24
+    # reals: at most 23,809 restarts
+    assert 23_809 * (270 + 24) <= anneal_mod._MAX_RUN_ENTRIES < 23_810 * (270 + 24)
+    objective = partial(objective_single, dim=2)
+    schedule = replace(_FAST, steps_per_temperature=1)
+    _, _, traces = minimize(objective, 2, 3, schedule, restarts=2)
+    assert len(traces[0]) == 11
+    at_cap = 2 * (11 + 24)
+    monkeypatch.setattr(anneal_mod, "_MAX_RUN_ENTRIES", at_cap)
+    assert minimize(objective, 2, 3, schedule, restarts=2)[2] == traces
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("an over-cap run reached the annealer")
+
+    monkeypatch.setattr(anneal_mod, "_MAX_RUN_ENTRIES", at_cap - 1)
+    monkeypatch.setattr(anneal_mod, "_chains", no_chains)
+    cap = f"cap of {at_cap - 1} trace and parameter entries"
+    with pytest.raises(InvalidConfig, match=cap):
+        minimize(objective, 2, 3, schedule, restarts=2)
+    with pytest.raises(InvalidConfig, match=cap):  # 4 * (11 + 8) entries
+        d_h_by_optimization(MIXED, KET0, restarts=4, schedule=schedule)
+    # about 1.4e16 temperatures: counted by logarithm, the loop never runs
+    with pytest.raises(InvalidConfig, match=cap):
+        minimize(objective, 2, 3, replace(schedule, cooling_ratio=1.0 - 1e-15))

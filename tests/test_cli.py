@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qjsd.anneal as anneal_mod
 import qjsd.audit as audit_mod
 import qjsd.states as states_mod
 from qjsd.cli import SAMPLE_CHUNK, build_parser, main
@@ -274,6 +275,23 @@ def test_state_caps_exit_64(tmp_path, capsys, monkeypatch):
     for argv in (["audit", "--dim", "81", "--samples", "512"], ["sample", "--dim", "140", "--samples", "512"]):
         assert main(argv + ["--out", out]) == 64
         assert "cap of 10000000 state entries" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_anneal_cap_exits_64(tmp_path, capsys, monkeypatch):
+    # 23,810 restarts of the default dim-2 schedule would hold over 7 * 10**6
+    # trace and parameter entries at once, and 4 restarts of ANNEAL_FAST's 11
+    # temperatures over a cap lowered to 3 * (11 + 24)
+    def no_chains(*args, **kwargs):
+        raise AssertionError("an over-cap run reached the annealer")
+
+    monkeypatch.setattr(anneal_mod, "_chains", no_chains)
+    out = str(tmp_path / "a.json")
+    assert main(["anneal", "--dim", "2", "--restarts", "23810", "--out", out]) == 64
+    assert "cap of 7000000 trace and parameter entries" in capsys.readouterr().err
+    monkeypatch.setattr(anneal_mod, "_MAX_RUN_ENTRIES", 3 * (11 + 24))
+    assert main(["anneal", "--dim", "2", "--restarts", "4", *ANNEAL_FAST, "--out", out]) == 64
+    assert "cap of 105 trace and parameter entries" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

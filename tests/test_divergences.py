@@ -30,11 +30,20 @@ from qjsd.divergences import (
 )
 import qjsd.anneal as anneal_mod
 import qjsd.divergences as div_mod
-from qjsd.errors import DimMismatch, DomainError, InvalidConfig, NotPositive, QjsdError, SupportViolation
+from qjsd.errors import (
+    DimMismatch,
+    DomainError,
+    InvalidConfig,
+    NotHermitian,
+    NotPositive,
+    QjsdError,
+    SupportViolation,
+)
 from qjsd.states import (
     CounterStream,
     density_from_pure,
     derive_seed,
+    linear_entropy,
     projective_povm,
     purification,
     sample_states,
@@ -684,11 +693,60 @@ def test_each_state_is_solved_once(rng, monkeypatch):
         (1, lambda: purification(rho, np.eye(3))),
         (2, lambda: d_h_by_optimization(rho, sigma, restarts=1, schedule=_DH_SCHEDULE)),
         (2, lambda: measured_jsd(rho, sigma, povm)),  # the pair's solve and the POVM's check
+        (3, lambda: qjsd_via_relative_entropy(rho, sigma)),  # rho, sigma and their midpoint
     ]
     for want, call in cases:
         calls.clear()
         call()
         assert len(calls) == want
+
+
+def test_each_input_is_checked_for_finiteness_once(rng, monkeypatch):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+    cases = [
+        (2, lambda: qjsd(rho, sigma)),
+        (2, lambda: qjsd_sqrt(rho, sigma)),
+        (2, lambda: relative_entropy(rho, sigma)),
+        (2, lambda: qjsd_via_relative_entropy(rho, sigma)),
+        (2, lambda: hilbert_schmidt_distance(rho, sigma)),
+        (1, lambda: von_neumann_entropy(rho)),
+        (2, lambda: purification(rho, np.eye(3))),  # the state and the unitary
+    ]
+    for want, call in cases:
+        calls.clear()
+        call()
+        assert len(calls) == want
+
+
+# each function of one state; linear_entropy solves no spectrum, so reads no
+# PSD verdict
+_STATE_FUNCTIONS = {
+    "von_neumann_entropy": von_neumann_entropy,
+    "linear_entropy": linear_entropy,
+    "purification": lambda a: purification(a, np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_FUNCTIONS))
+def test_state_functions_reject_what_is_not_a_state(name):
+    fn = _STATE_FUNCTIONS[name]
+    for bad in (2.0 * MIXED, np.eye(2), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="trace is .*, expected 1 within 1e-10"):
+            fn(bad)
+    with pytest.raises(NotHermitian):
+        fn(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(np.full((2, 2), np.nan))
+    for bad in (np.array([0.5, 0.5]), np.stack([MIXED] * 3)):
+        with pytest.raises(DimMismatch):
+            fn(bad)
+    if name != "linear_entropy":
+        with pytest.raises(NotPositive):
+            fn(np.diag([1.2, -0.2]))
+    assert np.all(np.isfinite(fn(KET0)))
 
 
 def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):

@@ -4,10 +4,11 @@ quantum Jensen-Shannon divergence.
 Each triplet index hashes to its own 64-bit triplet seed, and the three
 states of a triplet are drawn from a counter-based stream keyed by
 derive_seed(triplet_seed, t), t = 0, 1, 2 (see `qjsd.states`). A whole chunk
-of triplets is drawn in a few numpy passes, and a run is reproducible triplet
-by triplet: the report records the seeds of the smallest defects found, and
-`regenerate_triplet` rebuilds such a triplet exactly, bit for bit, with no
-dependence on worker count or scheduling.
+of triplets, `states.chunk_len(3, dim)` of them, is drawn in a few numpy
+passes, and a run is reproducible triplet by triplet: the report records the
+seeds of the smallest defects found, and `regenerate_triplet` rebuilds such a
+triplet exactly, bit for bit, with no dependence on worker count, chunk
+length or scheduling.
 
 Reports carry `sampler_version`. Version 2 is the counter-based stream;
 version 1, from reports without the field, drew each triplet from its own
@@ -32,6 +33,7 @@ from .states import (
     check_real,
     check_sampling,
     check_seed,
+    chunk_len,
     derive_seed,
     draw_state_params,
     map_groups,
@@ -40,10 +42,9 @@ from .states import (
 
 log = logging.getLogger("qjsd.audit")
 
-_CHUNK = 512  # triplets per batched linear-algebra pass
 _K_SMALLEST = 10
 # caps on what one call holds at once: the histogram edges, and a chunk's
-# states at about 81 B per state entry
+# states at about 81 B per state entry (tracemalloc, dims 4 to 256)
 _MAX_BINS = 10**6
 _MAX_CHUNK_ENTRIES = 10**7
 _TRIPLET = np.arange(3, dtype=np.uint64)  # state index within a triplet
@@ -142,20 +143,20 @@ def _draw_triplets(seeds: np.ndarray, dim: int, floor: float | None):
 
 
 def _shard(
-    dim, seed, floor, samples, edges, tolerance, chunks: range
+    dim, seed, floor, samples, edges, tolerance, chunk, chunks: range
 ) -> tuple[np.ndarray, np.ndarray, list[TriangleSample]]:
-    """Audit the triplets of the given chunks, _CHUNK triplet indices each and
+    """Audit the triplets of the given chunks, `chunk` triplet indices each and
     none past `samples`; returns the tally and signs count arrays (see
     below) and the smallest defects."""
-    start, stop = chunks.start * _CHUNK, min(chunks.stop * _CHUNK, samples)
+    start, stop = chunks.start * chunk, min(chunks.stop * chunk, samples)
     # tally holds the underflow, the bins and the overflow (NaN sorts last, into it);
     # signs the violations (below -tolerance), the noise (below 0) and the rest
     tally = np.zeros(edges.size + 1, dtype=np.int64)
     signs = np.zeros(3, dtype=np.int64)
     cuts = np.array([-tolerance, 0.0])
     smallest: list[TriangleSample] = []
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
+    for lo in range(start, stop, chunk):
+        hi = min(lo + chunk, stop)
         seeds = derive_seed(seed, np.arange(lo, hi, dtype=np.uint64))
         rhos, lams = _draw_triplets(seeds, dim, floor)
         # state entropies come from the sampled spectra (rho = U diag(lam) U†)
@@ -186,19 +187,22 @@ def run_audit(
     anything above falling into the overflow bin. Defects below -tolerance
     count as violations; defects in (-tolerance, 0) are logged as round-off
     noise. The report is identical for any worker count. A worker holds one
-    chunk of up to 512 triplets, capped at 10**7 state entries (dim <= 80).
+    chunk at a time, of states.chunk_len(3, dim) triplets: at most 512, and
+    at most 49,152 state entries (about 4 MB) unless one triplet alone holds
+    more. A chunk is capped at 10**7 state entries (dim <= 1825).
     """
     dim, mixedness_floor = check_sampling(dim, mixedness_floor)
     samples, seed = check_count("samples", samples), check_seed(seed)
-    chunk_entries = 3 * min(samples, _CHUNK) * dim * dim  # held at once by each worker
-    check_cap("3 * min(samples, 512) * dim**2", chunk_entries, _MAX_CHUNK_ENTRIES, "state entries")
+    chunk = chunk_len(3, dim)
+    chunk_entries = 3 * min(samples, chunk) * dim * dim  # held at once by each worker
+    check_cap("3 * min(samples, chunk_len(3, dim)) * dim**2", chunk_entries, _MAX_CHUNK_ENTRIES, "state entries")
     tolerance = check_real("tolerance", tolerance, 0.0, inclusive=True)
     edges = histogram_edges(bin_width, tail_max)
 
     # shards are split by whole chunks so batch compositions, and hence every
     # floating-point result, match the single-worker run exactly
-    shard = partial(_shard, dim, seed, mixedness_floor, samples, edges, tolerance)
-    parts = map_groups(shard, (samples + _CHUNK - 1) // _CHUNK, workers)
+    shard = partial(_shard, dim, seed, mixedness_floor, samples, edges, tolerance, chunk)
+    parts = map_groups(shard, (samples + chunk - 1) // chunk, workers)
     tallies, signs, tops = zip(*parts)
     tally, (violations, noise, _) = sum(tallies), sum(signs).tolist()
 

@@ -22,20 +22,21 @@ from . import anneal as anneal_mod
 from . import audit as audit_mod
 from . import divergences as div
 from .errors import DimMismatch, InvalidConfig, ParseError, QjsdError
-from .states import check_count, linear_entropy, read_state_file, sample_states, write_state_file
+from .states import check_count, chunk_len, linear_entropy, read_state_file, sample_states, write_state_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-SAMPLE_CHUNK = 512  # states drawn per batch by `qjsd sample`
-
 log = logging.getLogger("qjsd")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _dump(obj, fh) -> None:
+    """Write obj to the open text file fh as indented JSON and a newline. The
+    encoder's output is streamed, never joined into one string in memory."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _schedule_from(args, n_params: int) -> anneal_mod.AnnealSchedule:
@@ -58,7 +59,7 @@ def cmd_audit(args) -> int:
     with open(prefix + ".csv", "w", encoding="utf-8") as fh:
         fh.write(audit_mod.histogram_csv(report.histogram))
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        fh.write(_dump(audit_mod.report_to_dict(report)))
+        _dump(audit_mod.report_to_dict(report), fh)
     print(
         f"audit dim={args.dim} samples={args.samples} seed={args.seed}: "
         f"violations={report.violations} min_defect={report.min_defect:.6g}"
@@ -74,7 +75,7 @@ def cmd_anneal(args) -> int:
     result = _call(anneal_mod.run_anneal, args, schedule=_schedule_from(args, n_params))
     out = args.out or f"anneal_dim{args.dim}_seed{args.seed}.json"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(_dump(anneal_mod.result_to_dict(result)))
+        _dump(anneal_mod.result_to_dict(result), fh)
     print(
         f"anneal dim={args.dim} objective={args.objective} seed={args.seed}: "
         f"best_objective={result.best_objective:.6g}"
@@ -104,15 +105,16 @@ def cmd_compare(args) -> int:
         # fidelity has solved rho and sigma already, as entries 1 and 2 of the pair's stack
         v = div._pair_eigh(*div._pair_key(rho, sigma))[3]
         table["wootters"] = div.wootters_distance(v[1][:, -1], v[2][:, -1])
-    sys.stdout.write(_dump(table))
+    _dump(table, sys.stdout)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     check_count("samples", args.samples)
     prefix = args.out or "state"
-    for lo in range(0, args.samples, SAMPLE_CHUNK):
-        indices = np.arange(lo, min(lo + SAMPLE_CHUNK, args.samples))
+    chunk = chunk_len(1, check_count("dim", args.dim, least=2))
+    for lo in range(0, args.samples, chunk):
+        indices = np.arange(lo, min(lo + chunk, args.samples))
         for i, rho in zip(indices, _call(sample_states, args, indices=indices)):
             write_state_file(rho, f"{prefix}_{i:05d}.json")
     print(f"wrote {args.samples} state files with prefix {prefix!r}")
@@ -128,7 +130,7 @@ def cmd_purescan(args) -> int:
         "grid_steps": args.grid_steps,
         "x_steps": args.x_steps,
     }
-    sys.stdout.write(_dump(scan))
+    _dump(scan, sys.stdout)
     return EXIT_OK if res.min_g >= -1e-12 else EXIT_COUNTEREXAMPLE
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qjsd.audit import (
 )
 from qjsd.divergences import qjsd_sqrt
 from qjsd.errors import DimMismatch, InvalidConfig
-from qjsd.states import density_from_pure, derive_seed
+from qjsd.states import chunk_len, density_from_pure, derive_seed
 
 from conftest import rand_density, rand_pure
 
@@ -73,25 +74,41 @@ def test_histogram_edges_tile_range(small_arange):
 
 
 def test_run_audit_caps_its_chunk(monkeypatch):
-    # about 81 B per state entry of a chunk of up to 512 triplets, held at
-    # once by each worker: dims up to 80 are admitted
+    # about 81 B per state entry of a chunk of chunk_len(3, dim) triplets,
+    # held at once by each worker; from dim 91 a chunk is one triplet, and
+    # dims up to 1825 are admitted
     def no_shards(*args, **kwargs):
         raise AssertionError("an over-cap chunk reached the shards")
 
     with monkeypatch.context() as m:
         m.setattr(audit_mod, "map_groups", no_shards)
-        for dim, samples in ((81, 512), (81, 10**9), (10**4, 1)):
+        for dim, samples in ((1826, 1), (1826, 10**9), (10**4, 1)):
             with pytest.raises(InvalidConfig, match="cap of 10000000 state entries"):
                 run_audit(dim, samples, 0)
-    assert 3 * 512 * 80**2 <= audit_mod._MAX_CHUNK_ENTRIES < 3 * 512 * 81**2
+    assert chunk_len(3, 1825) == chunk_len(3, 1826) == 1
+    assert 3 * 1825**2 <= audit_mod._MAX_CHUNK_ENTRIES < 3 * 1826**2
     monkeypatch.setattr(audit_mod, "_MAX_CHUNK_ENTRIES", 3 * 10 * 4)
     assert run_audit(2, 10, 0).samples == 10  # the cap itself is admitted
-    with pytest.raises(InvalidConfig, match=r"3 \* min\(samples, 512\) \* dim\*\*2 = 132 exceeds the cap of 120"):
+    with pytest.raises(InvalidConfig, match=r"3 \* min\(samples, chunk_len\(3, dim\)\) \* dim\*\*2 = 132 exceeds the cap of 120"):
         run_audit(2, 11, 0)
     monkeypatch.setattr(audit_mod, "_MAX_CHUNK_ENTRIES", 3 * 512 * 4)
     assert run_audit(2, 600, 0).samples == 600  # only one chunk is held at once
     with pytest.raises(InvalidConfig, match="= 13824 exceeds"):
         run_audit(3, 600, 0)
+
+
+def test_audit_working_set_is_bounded_by_the_chunk_budget():
+    # a chunk holds about 81 B per state entry; 512 triplets of dim 16 would
+    # peak near 31 MB
+    kw = dict(dim=16, samples=600, seed=0, mixedness_floor=0.85)
+    run_audit(**kw)  # first calls allocate lazily
+    tracemalloc.start()
+    try:
+        run_audit(**kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * states_mod._CHUNK_ENTRIES
 
 
 def test_single_sample_bookkeeping():
@@ -263,7 +280,7 @@ def test_regenerate_triplet_is_the_chunk_draw(monkeypatch, dim, floor):
 
     assemble = audit_mod.states_from_params
     monkeypatch.setattr(audit_mod, "states_from_params", recording)
-    samples = 600  # a full chunk and a partial one
+    samples = 600  # 512 + 88 triplets up to dim 5, nine chunks of 64 and one of 24 at dim 16
     rep = run_audit(dim=dim, samples=samples, seed=4, mixedness_floor=floor)
     monkeypatch.undo()
     drawn = np.concatenate(drawn)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 import qjsd.anneal as anneal_mod
 import qjsd.audit as audit_mod
 import qjsd.states as states_mod
-from qjsd.cli import SAMPLE_CHUNK, build_parser, main
-from qjsd.states import linear_entropy, read_state_file, sample_states, write_state_file
+from qjsd.anneal import AnnealSchedule, result_to_dict, run_anneal
+from qjsd.cli import _dump, build_parser, main
+from qjsd.states import chunk_len, linear_entropy, read_state_file, sample_states, write_state_file
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -44,12 +46,59 @@ def test_sample_file_i_is_state_i(tmp_path):
     # files are written a chunk of indices at a time; file i must be state i
     # on both sides of a chunk boundary
     n = 600
-    assert SAMPLE_CHUNK < n
+    assert chunk_len(1, 3) < n
     assert main(["sample", "--dim", "3", "--samples", str(n), "--seed", "4",
                  "--mixedness-floor", "0.5", "--out", str(tmp_path / "s")]) == 0
     for i in range(n):
         rho = read_state_file(tmp_path / f"s_{i:05d}.json")
         assert np.array_equal(rho, sample_states(3, 4, [i], 0.5)[0])
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_sample_files_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, per_chunk):
+    # 600 states at dim 3 are a chunk of 512 and one of 88 by default
+    argv = ["sample", "--dim", "3", "--samples", "600", "--seed", "4", "--mixedness-floor", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(states_mod, "_CHUNK_ENTRIES", per_chunk * 3**2)
+    assert chunk_len(1, 3) == per_chunk
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    for i in range(600):
+        assert (tmp_path / f"a_{i:05d}.json").read_bytes() == (tmp_path / f"b_{i:05d}.json").read_bytes()
+
+
+@pytest.mark.parametrize("dim, floor", [(2, None), (2, "0.4"), (4, None), (4, "0.6"), (16, None), (16, "0.85")])
+def test_audit_files_do_not_depend_on_the_chunk_layout(tmp_path, monkeypatch, dim, floor):
+    # the default layout runs 600 triplets as 512 + 88 at dims 2 and 4, and as
+    # 9 x 64 + 24 at dim 16; every draw and solve acts on one matrix at a time
+    argv = ["audit", "--dim", str(dim), "--samples", "600", "--seed", "6"]
+    argv += ["--mixedness-floor", floor] if floor else []
+    assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
+    want = [(tmp_path / f"ref.{ext}").read_bytes() for ext in ("json", "csv")]
+    for per_chunk in (1, 7, 512):
+        monkeypatch.setattr(states_mod, "_CHUNK_ENTRIES", 3 * per_chunk * dim**2)
+        assert chunk_len(3, dim) == per_chunk
+        for workers in ("1", "2"):
+            out = tmp_path / f"c{per_chunk}w{workers}"
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+            assert [(tmp_path / f"{out.name}.{ext}").read_bytes() for ext in ("json", "csv")] == want
+
+
+def test_dump_writes_the_bytes_of_json_dumps(tmp_path, capsys):
+    # _dump streams the encoder's output into the open file, never joining it
+    # into one string; the bytes are those of json.dumps and a newline
+    schedule = AnnealSchedule(steps_per_temperature=3, t_initial=1.0, t_final=1e-2, cooling_ratio=0.5)
+    result = result_to_dict(run_anneal("single", 2, schedule, seed=3, restarts=2))
+    paths = [str(tmp_path / f"{k}.json") for k in "ab"]
+    for rho, path in zip(sample_states(3, 8, [0, 1]), paths):
+        write_state_file(rho, path)
+    assert main(["compare", *paths, "--restarts", "2"]) == 0
+    out = capsys.readouterr().out
+    table = json.loads(out)
+    assert out == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    for obj in (result, table):
+        buf = io.StringIO()
+        _dump(obj, buf)
+        assert buf.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_audit_outputs_and_worker_invariance(tmp_path):
@@ -264,7 +313,7 @@ def test_count_caps_exit_64(tmp_path, capsys, small_arange, small_linspace):
 
 
 def test_state_caps_exit_64(tmp_path, capsys, monkeypatch):
-    # a chunk of 512 triplets of dim 81, or of 512 states of dim 140, would
+    # a chunk of one triplet of dim 1826, or of one state of dim 3163, would
     # hold over 10**7 state entries at once
     def no_draws(*args, **kwargs):
         raise AssertionError("an over-cap size reached the sampler")
@@ -272,7 +321,7 @@ def test_state_caps_exit_64(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(states_mod, "draw_state_params", no_draws)
     monkeypatch.setattr(audit_mod, "draw_state_params", no_draws)
     out = str(tmp_path / "x")
-    for argv in (["audit", "--dim", "81", "--samples", "512"], ["sample", "--dim", "140", "--samples", "512"]):
+    for argv in (["audit", "--dim", "1826", "--samples", "512"], ["sample", "--dim", "3163", "--samples", "512"]):
         assert main(argv + ["--out", out]) == 64
         assert "cap of 10000000 state entries" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -21,6 +21,7 @@ from qjsd.errors import (
 from qjsd.states import (
     CounterStream,
     check_povm,
+    chunk_len,
     check_unitary,
     density_from_pure,
     derive_seed,
@@ -183,13 +184,15 @@ def _no_draws(*args, **kwargs):
 
 def test_sample_states_caps_its_state_entries(monkeypatch):
     # about 81 B per entry of the len(indices) x dim x dim states, held at
-    # once: qjsd sample's chunks of 512 states are admitted up to dim 139
+    # once: qjsd sample's chunks of chunk_len(1, dim) states are admitted up
+    # to dim 3162, where a chunk is one state
     with monkeypatch.context() as m:
         m.setattr(states_mod, "draw_state_params", _no_draws)
-        for dim, n in ((140, 512), (10**4, 1)):
+        for dim, n in ((3163, 1), (140, 512), (10**4, 1)):
             with pytest.raises(InvalidConfig, match="cap of 10000000 state entries"):
                 sample_states(dim, 0, np.arange(n))
-    assert 512 * 139**2 <= states_mod._MAX_SAMPLE_ENTRIES < 512 * 140**2
+    assert chunk_len(1, 3162) == chunk_len(1, 3163) == 1
+    assert 3162**2 <= states_mod._MAX_SAMPLE_ENTRIES < 3163**2
     monkeypatch.setattr(states_mod, "_MAX_SAMPLE_ENTRIES", 3 * 4)
     assert sample_states(2, 0, [0, 1, 2]).shape == (3, 2, 2)  # the cap itself is admitted
     with pytest.raises(InvalidConfig, match=r"len\(indices\) \* dim\*\*2 = 16 exceeds the cap of 12"):

@@ -7,7 +7,8 @@ Run from anywhere; it imports qjsd from `src/` of this checkout and the
 benchmark's compare inputs from `bench/workloads.py`, read-only, and runs
 every command in this process through `qjsd.cli.main`. Commands that take
 `--workers` run with 1 and with 2 workers, and both must give the same bytes.
-The set:
+Each audit runs a third time, with 2 workers and chunks of 50 triplets, and
+must give the same bytes again. The set:
 
 - `qjsd audit --seed 7 --samples 20000` at dims 2, 3 and 4, and at dim 16
   with `--mixedness-floor 0.85` and 3,000 samples: the JSON and the CSV;
@@ -54,6 +55,7 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -77,7 +79,8 @@ DH_SCHEDULE = AnnealSchedule(50, t_initial=1.0, t_final=1e-4, cooling_ratio=0.7,
 CLASSICAL_SEED = 7707
 PURESCANS = ([], ["--grid-steps", 9, "--x-steps", 5])
 WORKERS = (1, 2)
-SPLIT = "differs between worker counts"
+SMALL_CHUNK = 50  # triplets per chunk of the third audit run
+SPLIT = "differs between worker counts or chunk layouts"
 
 
 def sha256(data: bytes) -> str:
@@ -98,12 +101,18 @@ def run_ok(argv: list) -> None:
         raise SystemExit(f"golden: `qjsd {' '.join(map(str, argv))}` exited {status}")
 
 
-def by_workers(argv: list, files: dict) -> dict:
-    """Run argv with --workers w for each w of WORKERS and hash the files
-    ({name: path}) it writes; {name: hash}, with SPLIT where the runs differ."""
+def by_workers(argv: list, files: dict, audit_dim: int | None = None) -> dict:
+    """Run argv with --workers w for each w of WORKERS, and for an audit of
+    dimension audit_dim once more with 2 workers at SMALL_CHUNK triplets per
+    chunk, and hash the files ({name: path}) it writes; {name: hash}, with
+    SPLIT where the runs differ."""
+    layouts = [(w, states._CHUNK_ENTRIES) for w in WORKERS]
+    if audit_dim is not None:
+        layouts.append((2, 3 * SMALL_CHUNK * audit_dim**2))
     runs = []
-    for w in WORKERS:
-        run_ok(argv + ["--workers", w])
+    for w, entries in layouts:
+        with mock.patch.object(states, "_CHUNK_ENTRIES", entries):
+            run_ok(argv + ["--workers", w])
         runs.append({name: sha256(path.read_bytes()) for name, path in files.items()})
     return {name: h if all(r[name] == h for r in runs) else SPLIT for name, h in runs[0].items()}
 
@@ -155,7 +164,7 @@ def collect(tmp: Path) -> dict:
     out = {}
     for name, dim, samples, extra in AUDITS:
         argv = ["audit", "--dim", dim, "--samples", samples, "--seed", 7, *extra, "--out", tmp / name]
-        out.update(by_workers(argv, {f"{name}.{ext}": tmp / f"{name}.{ext}" for ext in ("json", "csv")}))
+        out.update(by_workers(argv, {f"{name}.{ext}": tmp / f"{name}.{ext}" for ext in ("json", "csv")}, dim))
     for dim in (2, 3):
         for objective in ("single", "symmetrized"):
             name = f"anneal-dim{dim}-{objective}.json"

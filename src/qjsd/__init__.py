@@ -5,7 +5,6 @@ of the divergence behaves as a metric."""
 from .anneal import (
     AnnealResult,
     AnnealSchedule,
-    decode_state,
     minimize,
     objective_single,
     objective_symmetrized,
@@ -26,9 +25,7 @@ from .divergences import (
     d_h_closed_form,
     djs1_lower_bound,
     fidelity,
-    g_function,
     hilbert_schmidt_distance,
-    kl_divergence,
     measured_jsd,
     phi_pure,
     pure_triangle_scan,
@@ -38,16 +35,13 @@ from .divergences import (
     qjsd_via_relative_entropy,
     relative_entropy,
     schoenberg_check,
-    shannon_entropy,
     von_neumann_entropy,
     wootters_distance,
 )
-from .linalg import eigh, hs_inner, matrix_sqrt
+from .linalg import eigh
 from .states import (
-    density_from_pure,
     derive_seed,
     linear_entropy,
-    partial_trace_second,
     projective_povm,
     purification,
     read_state_file,

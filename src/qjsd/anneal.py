@@ -58,18 +58,13 @@ class AnnealSchedule:
         return cls(steps_per_temperature=200 * n_params)
 
 
-def decode_state(block: np.ndarray, dim: int) -> np.ndarray:
-    """Decode 2*dim^2 reals into a density matrix via A A† / Tr(A A†).
-
-    Scale-invariant: any nonzero rescaling of the block decodes to the same
-    state. Raises DegenerateBlock when the trace underflows.
-    """
-    return _decode_triplet(block, dim)[0]
-
-
 def _decode_triplet(params: np.ndarray, dim: int) -> np.ndarray:
-    """Decode consecutive 2*dim^2-real blocks into density matrices, as
-    decode_state does one: (..., blocks * 2*dim^2) -> (..., blocks, dim, dim)."""
+    """Decode consecutive 2*dim^2-real blocks into density matrices, each via
+    A A† / Tr(A A†): (..., blocks * 2*dim^2) -> (..., blocks, dim, dim).
+
+    Scale-invariant: any nonzero rescaling of a block decodes to the same
+    state. Raises DegenerateBlock when a trace underflows.
+    """
     x = np.asarray(params, dtype=np.float64)
     x = x.reshape(x.shape[:-1] + (-1, 2, dim, dim))
     a = np.empty(x.shape[:-3] + (dim, dim), dtype=np.complex128)

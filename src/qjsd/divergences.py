@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, SupportViolation, Undefined
+from .errors import DimMismatch, DomainError, SupportViolation
 from .linalg import clamped_spectrum, eigh, sqrt_from_eigh
 from .states import (
     CounterStream,
@@ -85,24 +85,6 @@ def entropy_from_eigenvalues(w) -> np.ndarray | float:
     terms *= lam
     out = -np.add.reduce(terms, axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def shannon_entropy(p) -> float:
-    """H(P) = -sum_i p_i log2 p_i, in bits."""
-    return float(entropy_from_eigenvalues(check_prob_vector(p)))
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence sum_i p_i log2(p_i / q_i), in bits.
-
-    Undefined when some p_i > 0 sits where q_i = 0.
-    """
-    a, b = _prob_stack([p, q])
-    bad = (a > 0.0) & (b == 0.0)
-    if np.any(bad):
-        raise Undefined("support of p is not contained in support of q")
-    m = a > 0.0
-    return float(np.sum(a[m] * (np.log2(a[m]) - np.log2(b[m]))))
 
 
 def _jsd_from_probs(p: np.ndarray, q: np.ndarray):
@@ -190,7 +172,7 @@ def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarr
         np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
     )
     stack = np.stack([a - b, a, b, (a + b) / 2.0])
-    w, v = eigh(stack, validate=False)
+    w, v = eigh(stack)
     clamped_spectrum(w[1:3])  # raises NotPositive below -PSD_CLAMP
     w.flags.writeable = v.flags.writeable = False
     return a, b, w, v
@@ -209,7 +191,7 @@ def relative_entropy(rho, sigma) -> float:
     (eigenvalue cutoff 1e-12); otherwise raises SupportViolation.
     """
     a, b = check_states(rho, sigma)
-    sw, sv = eigh(b, validate=False)
+    sw, sv = eigh(b)
     return _relative_entropy(a, clamped_spectrum(np.linalg.eigvalsh(a)), clamped_spectrum(sw), sv)
 
 
@@ -281,7 +263,7 @@ def qjsd_via_relative_entropy(rho, sigma) -> float:
     """
     a, b = check_states(rho, sigma)
     ra, rb = (clamped_spectrum(np.linalg.eigvalsh(x)) for x in (a, b))
-    mw, mv = eigh((a + b) / 2.0, validate=False)
+    mw, mv = eigh((a + b) / 2.0)
     mw = clamped_spectrum(mw)
     return 0.5 * (_relative_entropy(a, ra, mw, mv) + _relative_entropy(b, rb, mw, mv))
 
@@ -354,12 +336,6 @@ def phi_pure(x):
         raise DomainError("overlap magnitude must lie in [0, 1]")
     out = _phi_raw(a)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def g_function(x: float, y: float, z: float) -> float:
-    """Pure-state triangle defect sqrt(phi(y)) + sqrt(phi(z)) - sqrt(phi(x)),
-    with phi_pure's domain check on each argument."""
-    return float(np.sqrt(phi_pure(y)) + np.sqrt(phi_pure(z)) - np.sqrt(phi_pure(x)))
 
 
 class ScanResult(NamedTuple):
@@ -562,7 +538,7 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, *, schedule) -
 
     a, b = check_states(rho, sigma)
     n = a.shape[0]
-    (rw, rv), (sw, sv) = eigh(a, validate=False), eigh(b, validate=False)
+    (rw, rv), (sw, sv) = eigh(a), eigh(b)
     psi_conj = (rv * np.sqrt(clamped_spectrum(rw))).reshape(-1).conj()  # purification(a, I)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
     objective = functools.partial(_dh_objective, weighted=weighted, psi_conj=psi_conj, n=n)

@@ -29,10 +29,6 @@ class NotPositive(DomainError):
     """A matrix expected to be positive semidefinite has an eigenvalue below -1e-10."""
 
 
-class Undefined(QjsdError):
-    """Kullback-Leibler divergence evaluated where the support condition fails."""
-
-
 class SupportViolation(QjsdError):
     """Relative entropy S(rho, sigma) requested with support(rho) not inside support(sigma)."""
 

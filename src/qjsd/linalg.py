@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: Hermitian eigenproblems, spectral matrix
-functions, and the trace inner product.
+"""Dense complex linear algebra: Hermitian eigenproblems and spectral matrix
+functions.
 
 All matrices are square numpy arrays of complex128. Dimensions of interest
 are small (2 to a few dozen), so everything routes through LAPACK's dense
@@ -39,17 +39,18 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def eigh(m, validate: bool = True):
-    """Eigendecomposition of a Hermitian matrix; numpy's named result.
+def eigh(m):
+    """Eigendecomposition of a Hermitian matrix or a stack (..., N, N) of them;
+    numpy's named result.
 
     Returns real eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns, so that V diag(w) V† reconstructs the input. With
-    validate=False the input is not checked and may be a stack (..., N, N),
-    for a caller that has validated it already. A LAPACK failure raises
+    eigenvector columns, so that V diag(w) V† reconstructs the input. The
+    input is not checked: callers pass states that check_states has
+    validated, or matrices built from them. A LAPACK failure raises
     NonConvergence.
     """
     try:
-        return np.linalg.eigh(check_hermitian(as_complex_matrix(m)) if validate else m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 
@@ -74,18 +75,3 @@ def sqrt_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = clamped_spectrum(w)
     s = np.sqrt(np.where(w > w.size * np.finfo(np.float64).eps * np.max(w), w, 0.0))
     return (v * s) @ v.conj().T
-
-
-def matrix_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix via spectral calculus;
-    see sqrt_from_eigh."""
-    return sqrt_from_eigh(*eigh(m))
-
-
-def hs_inner(a, b) -> complex:
-    """Trace inner product Tr(a† b) between two equal-dim matrices."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))  # vdot conjugates its first argument

@@ -219,12 +219,6 @@ def check_povm(elements) -> np.ndarray:
 # Constructions
 # ---------------------------------------------------------------------------
 
-def density_from_pure(psi) -> np.ndarray:
-    """Rank-1 projector |psi><psi| of a unit vector."""
-    v = check_pure_state(psi)
-    return np.outer(v, v.conj())
-
-
 def linear_entropy(rho) -> float:
     """1 - Tr(rho^2); zero for pure states, 1 - 1/N for maximally mixed."""
     a = check_states(rho)[0]
@@ -247,19 +241,9 @@ def purification(rho, v) -> np.ndarray:
     """
     a = check_states(rho)[0]
     u = check_unitary(v, a.shape[0])
-    w, vecs = eigh(a, validate=False)
+    w, vecs = eigh(a)
     s = np.sqrt(clamped_spectrum(w))  # raises NotPositive below -PSD_CLAMP
     return ((vecs * s) @ u.T).reshape(-1)
-
-
-def partial_trace_second(psi, dim_a: int) -> np.ndarray:
-    """Reduced density matrix on the first factor of a bipartite pure state."""
-    v = check_pure_state(psi)
-    dim_a = check_count("dim_a", dim_a)
-    if v.size % dim_a != 0:
-        raise DimMismatch(f"vector of size {v.size} does not factor as {dim_a} x b")
-    r = v.reshape(dim_a, v.size // dim_a)
-    return r @ r.conj().T
 
 
 # ---------------------------------------------------------------------------

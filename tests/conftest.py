@@ -28,6 +28,17 @@ def rand_pure(rng, n):
     return v / np.linalg.norm(v)
 
 
+def projector(psi):
+    """The pure state |psi><psi| of a unit vector."""
+    return np.outer(psi, psi.conj())
+
+
+def reduced_first(psi, dim_a):
+    """Reduced state on the first factor (dim dim_a) of a bipartite pure state."""
+    r = psi.reshape(dim_a, -1)
+    return r @ r.conj().T
+
+
 def rand_density(rng, n):
     u = haar_unitary(rng, n)
     lam = simplex_point(rng, n)

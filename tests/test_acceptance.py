@@ -27,9 +27,9 @@ from qjsd.divergences import (
     schoenberg_check,
 )
 from qjsd.linalg import eigh
-from qjsd.states import density_from_pure, projective_povm, sample_states
+from qjsd.states import projective_povm, sample_states
 
-from conftest import commuting_pair, rand_density, rand_pure, random_povm, simplex_point
+from conftest import commuting_pair, projector, rand_density, rand_pure, random_povm, simplex_point
 from test_divergences import _bloch_circle_scan_max
 
 AUDIT_DIMS = (2, 3, 4, 5)
@@ -193,7 +193,7 @@ def test_criterion_5_pure_state_closed_form():
         for _ in range(1000):
             psi, phi = rand_pure(rng, dim), rand_pure(rng, dim)
             overlap = min(abs(np.vdot(psi, phi)), 1.0)
-            got = qjsd(density_from_pure(psi), density_from_pure(phi))
+            got = qjsd(projector(psi), projector(phi))
             worst = max(worst, abs(got - phi_pure(overlap)))
     scan = pure_triangle_scan(25, 20)
     ok = worst < 1e-10 and scan.min_g >= -1e-12
@@ -274,8 +274,8 @@ def test_criterion_8_purification_metric_consistency():
     rng = np.random.default_rng(88)
     for dim in (2, 3):
         for _ in range(25):
-            a = density_from_pure(rand_pure(rng, dim))
-            b = density_from_pure(rand_pure(rng, dim))
+            a = projector(rand_pure(rng, dim))
+            b = projector(rand_pure(rng, dim))
             worst_pure = max(worst_pure, abs(d_h_closed_form(a, b) - qjsd_sqrt(a, b)))
     ok = most_negative >= -1e-6 and worst_gap <= 1e-4 and worst_pure < 1e-10
     _verdict(

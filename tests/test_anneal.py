@@ -12,7 +12,6 @@ from qjsd.anneal import (
     _chains,
     _decode_triplet,
     _normalize_blocks,
-    decode_state,
     minimize,
     objective_single,
     objective_symmetrized,
@@ -22,7 +21,7 @@ from qjsd.anneal import (
 from qjsd.audit import triangle_defect
 from qjsd.divergences import d_h_by_optimization
 from qjsd.errors import DegenerateBlock, InvalidConfig
-from qjsd.linalg import matrix_sqrt
+from qjsd.linalg import eigh, sqrt_from_eigh
 from qjsd.states import state_to_dict
 
 from conftest import rand_density
@@ -42,30 +41,30 @@ def _block_from_matrix(a):
 
 def _params_from_states(*states):
     # A = sqrt(rho) decodes back to rho since A A† = rho with unit trace
-    return np.concatenate([_block_from_matrix(matrix_sqrt(s)) for s in states])
+    return np.concatenate([_block_from_matrix(sqrt_from_eigh(*eigh(s))) for s in states])
 
 
 def test_decode_identity_block():
-    assert np.allclose(decode_state(_block_from_matrix(np.eye(3)), 3), np.eye(3) / 3.0, atol=1e-14)
+    assert np.allclose(_decode_triplet(_block_from_matrix(np.eye(3)), 3)[0], np.eye(3) / 3.0, atol=1e-14)
 
 
 def test_decode_rank_one_block():
     a = np.zeros((2, 2), dtype=complex)
     a[0, 0] = 1.0
-    assert np.allclose(decode_state(_block_from_matrix(a), 2), KET0, atol=1e-14)
+    assert np.allclose(_decode_triplet(_block_from_matrix(a), 2)[0], KET0, atol=1e-14)
 
 
 def test_decode_scale_invariance(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    base = decode_state(_block_from_matrix(a), 3)
+    base = _decode_triplet(_block_from_matrix(a), 3)[0]
     for c in (2.0, -1.0, 1j):
-        scaled = decode_state(_block_from_matrix(c * a), 3)
+        scaled = _decode_triplet(_block_from_matrix(c * a), 3)[0]
         assert np.max(np.abs(scaled - base)) < 1e-12
 
 
 def test_decode_degenerate_block():
     with pytest.raises(DegenerateBlock):
-        decode_state(np.zeros(8), 2)
+        _decode_triplet(np.zeros(8), 2)
 
 
 def test_objective_single_zero_when_pivot_matches():
@@ -99,7 +98,7 @@ def test_objective_symmetrized_matches_pivot_mean():
 
 
 def test_objective_symmetrized_permutation_invariant(rng):
-    states = [decode_state(rng.standard_normal(8), 2) for _ in range(3)]
+    states = [_decode_triplet(rng.standard_normal(8), 2)[0] for _ in range(3)]
     base = objective_symmetrized(_params_from_states(*states), 2)
     for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
         permuted = objective_symmetrized(_params_from_states(*(states[i] for i in perm)), 2)
@@ -262,7 +261,7 @@ def test_decode_triplet_bit_identical_to_reference(rng, dim):
         assert got.shape == want.shape == params.shape[:-1] + (3, dim, dim)
         assert np.array_equal(got, want)
     block = rng.standard_normal(2 * dim * dim)
-    assert np.array_equal(decode_state(block, dim), _decode_oracle(block, dim)[0])
+    assert np.array_equal(_decode_triplet(block, dim)[0], _decode_oracle(block, dim)[0])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

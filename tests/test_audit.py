@@ -17,9 +17,9 @@ from qjsd.audit import (
 )
 from qjsd.divergences import qjsd_sqrt
 from qjsd.errors import DimMismatch, InvalidConfig
-from qjsd.states import chunk_len, density_from_pure, derive_seed
+from qjsd.states import chunk_len, derive_seed
 
-from conftest import rand_density, rand_pure
+from conftest import projector, rand_density, rand_pure
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -44,7 +44,7 @@ def test_defect_is_the_sum_of_three_single_pair_calls(rng):
     for dim in range(2, 9):
         for _ in range(3):
             mixed = [rand_density(rng, dim) for _ in range(3)]
-            pure = [density_from_pure(rand_pure(rng, dim)) for _ in range(3)]
+            pure = [projector(rand_pure(rng, dim)) for _ in range(3)]
             for rho, xi, sigma in (mixed, pure):
                 want = qjsd_sqrt(rho, xi) + qjsd_sqrt(xi, sigma) - qjsd_sqrt(rho, sigma)
                 assert triangle_defect(rho, xi, sigma) == want

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from qjsd.divergences import (
     classical_jsd,
     classical_jsd_sqrt_metric_check,
-    kl_divergence,
+    entropy_from_eigenvalues,
     schoenberg_check,
-    shannon_entropy,
 )
-from qjsd.errors import DimMismatch, Undefined
+from qjsd.errors import DimMismatch
 
 from conftest import simplex_point
 
@@ -20,28 +19,15 @@ JSD_HALF = 0.31127812445913286  # H(3/4,1/4) - 1/2
 
 
 def test_shannon_deterministic():
-    assert shannon_entropy([1.0, 0.0]) == 0.0
+    assert entropy_from_eigenvalues([1.0, 0.0]) == 0.0
 
 
 def test_shannon_fair_bit():
-    assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
+    assert entropy_from_eigenvalues([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_shannon_quarter():
-    assert shannon_entropy([0.25, 0.75]) == pytest.approx(H_QUARTER, abs=1e-15)
-
-
-def test_kl_equal_is_zero():
-    assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
-
-
-def test_kl_half():
-    assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_kl_disjoint_support_undefined():
-    with pytest.raises(Undefined):
-        kl_divergence([1.0, 0.0], [0.0, 1.0])
+    assert entropy_from_eigenvalues([0.25, 0.75]) == pytest.approx(H_QUARTER, abs=1e-15)
 
 
 def test_jsd_equal_is_zero():
@@ -85,7 +71,7 @@ def test_jsd_symmetric_and_bounded(p, q):
 @settings(max_examples=200, deadline=None)
 @given(prob_vectors(size=3))
 def test_shannon_bounds(p):
-    h = shannon_entropy(p)
+    h = entropy_from_eigenvalues(p)
     assert -1e-12 <= h <= np.log2(3) + 1e-12
 
 

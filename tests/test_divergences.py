@@ -14,7 +14,6 @@ from qjsd.divergences import (
     djs1_lower_bound,
     entropy_from_eigenvalues,
     fidelity,
-    g_function,
     hilbert_schmidt_distance,
     measured_jsd,
     phi_pure,
@@ -41,7 +40,6 @@ from qjsd.errors import (
 )
 from qjsd.states import (
     CounterStream,
-    density_from_pure,
     derive_seed,
     linear_entropy,
     projective_povm,
@@ -50,7 +48,7 @@ from qjsd.states import (
     unitaries_from_ginibre,
 )
 
-from conftest import commuting_pair, haar_unitary, rand_density, rand_pure, random_povm
+from conftest import commuting_pair, haar_unitary, projector, rand_density, rand_pure, random_povm
 
 # frozen reference values (direct high-precision evaluation)
 H_QUARTER = 0.81127812445913286
@@ -72,7 +70,7 @@ MIXED = np.eye(2, dtype=complex) / 2.0
 
 def test_von_neumann_pure_vanishes(rng):
     for n in (2, 3, 4):
-        assert von_neumann_entropy(density_from_pure(rand_pure(rng, n))) == pytest.approx(0.0, abs=1e-10)
+        assert von_neumann_entropy(projector(rand_pure(rng, n))) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_von_neumann_maximally_mixed():
@@ -104,7 +102,7 @@ def test_relative_entropy_commuting_case():
 
 def _triplet(rng, dim, kind):
     if kind == "pure":
-        return np.stack([density_from_pure(rand_pure(rng, dim)) for _ in range(3)])
+        return np.stack([projector(rand_pure(rng, dim)) for _ in range(3)])
     rho, sigma = rand_density(rng, dim), rand_density(rng, dim)
     if kind == "coincident":
         return np.stack([rho, rho, sigma])
@@ -275,29 +273,12 @@ def test_pure_state_reduction(rng):
         for _ in range(200):
             psi, phi = rand_pure(rng, dim), rand_pure(rng, dim)
             overlap = abs(np.vdot(psi, phi))
-            got = qjsd(density_from_pure(psi), density_from_pure(phi))
+            got = qjsd(projector(psi), projector(phi))
             assert abs(got - phi_pure(min(overlap, 1.0))) < 1e-10
 
 
-def test_g_vanishes_at_degeneracies():
-    # chi = phi gives (y, z) = (x, 1); chi = psi gives (y, z) = (1, x)
-    for x in (0.0, 0.3, 0.99):
-        assert g_function(x, x, 1.0) == 0.0
-        assert g_function(x, 1.0, x) == 0.0
-
-
-def test_g_nonnegative_when_x_is_one():
-    for y, z in ((0.0, 0.0), (0.5, 0.9), (1.0, 0.2)):
-        assert g_function(1.0, y, z) >= 0.0
-
-
 def test_g_domain_error():
-    with pytest.raises(DomainError):
-        g_function(1.2, 0.5, 0.5)
     nan = float("nan")
-    for args in [(nan, 0.5, 0.5), (0.5, nan, 0.5), (0.5, 0.5, nan)]:
-        with pytest.raises(DomainError):
-            g_function(*args)
     for x in (nan, [0.5, nan]):  # the range test alone let NaN through
         with pytest.raises(DomainError):
             phi_pure(x)
@@ -371,6 +352,22 @@ def test_scan_fine_grid_nonnegative_and_degenerate_argmin():
     on_phi_branch = abs(res.y - res.x) < 1e-9 and abs(res.z - 1.0) < 1e-9
     on_psi_branch = abs(res.z - res.x) < 1e-9 and abs(res.y - 1.0) < 1e-9
     assert on_phi_branch or on_psi_branch
+
+
+@pytest.mark.parametrize("grid_steps, x_steps", [(25, 20), (9, 5), (3, 3)])
+def test_scan_overlaps_are_those_of_its_states(grid_steps, x_steps):
+    # rebuild psi, phi and chi = a psi + b phi + chi_perp in C^3 from the
+    # scan's x, a and b; its y, z and min_g must be what those states give
+    res = pure_triangle_scan(grid_steps, x_steps)
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    phi = np.array([res.x, np.sqrt(1.0 - res.x**2), 0.0], dtype=complex)
+    chi = res.a * psi + res.b * phi
+    chi[2] = np.sqrt(max(1.0 - np.vdot(chi, chi).real, 0.0))
+    assert abs(np.linalg.norm(chi) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(psi, chi)) - res.y) < 1e-12
+    assert abs(abs(np.vdot(phi, chi)) - res.z) < 1e-12
+    # the gap is the square-root round-off of the mixed-state defect near 0
+    assert abs(triangle_defect(projector(psi), projector(chi), projector(phi)) - res.min_g) < 1e-7
 
 
 def test_scan_caps_its_pair_grid(small_linspace, monkeypatch):
@@ -485,7 +482,7 @@ def _djs1_pairs(seed):
     """Four state pairs per dimension 2 to 8; the first of each is pure."""
     rng = np.random.default_rng(seed)
     for n in range(2, 9):
-        yield density_from_pure(rand_pure(rng, n)), density_from_pure(rand_pure(rng, n))
+        yield projector(rand_pure(rng, n)), projector(rand_pure(rng, n))
         for _ in range(3):
             yield rand_density(rng, n), rand_density(rng, n)
 
@@ -774,7 +771,7 @@ def test_fidelity_orthogonal_pure():
 def test_fidelity_pure_pairs_overlap(rng):
     for _ in range(50):
         psi, phi = rand_pure(rng, 3), rand_pure(rng, 3)
-        got = fidelity(density_from_pure(psi), density_from_pure(phi))
+        got = fidelity(projector(psi), projector(phi))
         assert got == pytest.approx(abs(np.vdot(psi, phi)), abs=1e-10)
 
 
@@ -788,7 +785,7 @@ def test_d_h_closed_form_values():
 def test_d_h_equals_sqrt_qjsd_for_pure_pairs(rng):
     for _ in range(50):
         psi, phi = rand_pure(rng, 2), rand_pure(rng, 2)
-        a, b = density_from_pure(psi), density_from_pure(phi)
+        a, b = projector(psi), projector(phi)
         assert abs(d_h_closed_form(a, b) - qjsd_sqrt(a, b)) < 1e-10
 
 

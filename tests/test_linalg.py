@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from qjsd.errors import DimMismatch, NotHermitian, NotPositive
-from qjsd.linalg import eigh, hs_inner, matrix_sqrt
+from qjsd.errors import NonConvergence, NotHermitian, NotPositive
+from qjsd.linalg import check_hermitian, eigh, sqrt_from_eigh
 
 from conftest import rand_hermitian, rand_pure
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def test_eigh_identity():
@@ -38,28 +37,37 @@ def test_eigh_reconstruction_random(dim):
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
 
 
-def test_eigh_rejects_non_hermitian():
+def test_eigh_turns_a_lapack_failure_into_non_convergence(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NonConvergence, match="^Eigenvalues did not converge$"):
+        eigh(np.eye(2))
+
+
+def test_check_hermitian_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_matrix_sqrt_identity():
-    assert np.allclose(matrix_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+    assert np.allclose(sqrt_from_eigh(*eigh(np.eye(3))), np.eye(3), atol=1e-14)
 
 
 def test_matrix_sqrt_diagonal():
-    assert np.allclose(matrix_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+    assert np.allclose(sqrt_from_eigh(*eigh(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]), atol=1e-12)
 
 
 def test_matrix_sqrt_projector_idempotent():
     plus = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
-    assert np.max(np.abs(matrix_sqrt(plus) - plus)) < 1e-12
+    assert np.max(np.abs(sqrt_from_eigh(*eigh(plus)) - plus)) < 1e-12
     # random projectors: their round-off zero eigenvalues must not leak through the sqrt
     rng = np.random.default_rng(3)
     for _ in range(200):
         psi = rand_pure(rng, 3)
         p = np.outer(psi, psi.conj())
-        assert np.max(np.abs(matrix_sqrt(p) - p)) < 1e-12
+        assert np.max(np.abs(sqrt_from_eigh(*eigh(p)) - p)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
@@ -68,39 +76,15 @@ def test_matrix_sqrt_squares_back(dim):
         rng = np.random.default_rng(7000 + 10 * dim + seed)
         m = rand_hermitian(rng, dim)
         psd = m @ m.conj().T
-        s = matrix_sqrt(psd)
+        s = sqrt_from_eigh(*eigh(psd))
         assert np.max(np.abs(s @ s - psd)) < 1e-9
 
 
 def test_matrix_sqrt_rejects_negative():
     with pytest.raises(NotPositive):
-        matrix_sqrt(np.diag([1.0, -1e-6]))
+        sqrt_from_eigh(*eigh(np.diag([1.0, -1e-6])))
 
 
 def test_matrix_sqrt_clamps_roundoff():
-    s = matrix_sqrt(np.diag([1.0, -5e-11]))
+    s = sqrt_from_eigh(*eigh(np.diag([1.0, -5e-11])))
     assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_hs_inner_identity():
-    assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-
-def test_hs_inner_pauli_orthogonality():
-    # direct 2x2 trace: Tr(X Z) = 0
-    assert hs_inner(PAULI_X, PAULI_Z) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_hs_inner_conjugate_symmetric_and_positive(rng):
-    for _ in range(50):
-        a = rand_hermitian(rng, 4) + 1j * rand_hermitian(rng, 4)
-        b = rand_hermitian(rng, 4) + 1j * rand_hermitian(rng, 4)
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)), abs=1e-12)
-        norm = hs_inner(a, a)
-        assert abs(norm.imag) < 1e-12
-        assert norm.real >= 0.0
-
-
-def test_hs_inner_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        hs_inner(np.eye(2), np.eye(3))

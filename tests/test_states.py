@@ -23,11 +23,9 @@ from qjsd.states import (
     check_povm,
     chunk_len,
     check_unitary,
-    density_from_pure,
     derive_seed,
     linear_entropy,
     map_groups,
-    partial_trace_second,
     projective_povm,
     purification,
     read_state_file,
@@ -35,29 +33,7 @@ from qjsd.states import (
     write_state_file,
 )
 
-from conftest import haar_unitary, rand_pure
-
-
-# ---------------------------------------------------------------------------
-# density_from_pure
-# ---------------------------------------------------------------------------
-
-def test_density_from_basis_ket():
-    rho = density_from_pure([1.0, 0.0])
-    assert np.allclose(rho, np.diag([1.0, 0.0]))
-
-
-def test_density_from_superposition():
-    rho = density_from_pure(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert np.allclose(rho, np.full((2, 2), 0.5), atol=1e-14)
-
-
-def test_density_from_pure_is_idempotent(rng):
-    for n in (2, 3, 5):
-        psi = rand_pure(rng, n)
-        rho = density_from_pure(psi)
-        assert np.max(np.abs(rho @ rho - rho)) < 1e-10
-        assert np.vdot(rho, rho).real == pytest.approx(1.0, abs=1e-10)
+from conftest import haar_unitary, projector, rand_pure, reduced_first
 
 
 def _counter_draw(dim, n, floor=None, seed=99):
@@ -289,9 +265,9 @@ def test_sampler_unitary_invariance_of_moments():
 
 def test_purify_pure_state_is_product(rng):
     psi = rand_pure(rng, 3)
-    rho = density_from_pure(psi)
+    rho = projector(psi)
     purified = purification(rho, np.eye(3))
-    reduced = partial_trace_second(purified, 3)
+    reduced = reduced_first(purified, 3)
     assert np.max(np.abs(reduced - rho)) < 1e-9
     # rank-1 reduced state means the purification is a product state
     assert np.vdot(reduced, reduced).real == pytest.approx(1.0, abs=1e-9)
@@ -309,7 +285,7 @@ def test_purification_roundtrip(dim):
         rng = np.random.default_rng(40_000 + 100 * dim + seed)
         rho = sample_states(dim, int(rng.integers(2**32)), [0])[0]
         v = haar_unitary(rng, dim)
-        assert np.max(np.abs(partial_trace_second(purification(rho, v), dim) - rho)) < 1e-9
+        assert np.max(np.abs(reduced_first(purification(rho, v), dim) - rho)) < 1e-9
 
 
 def test_purification_rejects_non_unitary():
@@ -381,25 +357,6 @@ def test_check_povm_mixed_dimensions():
     assert isinstance(elements, list) and len(elements) == 3
     with pytest.raises(DimMismatch):
         check_povm(elements[:2] + [np.eye(2)])
-
-
-def test_partial_trace_product_state(rng):
-    a, b = rand_pure(rng, 2), rand_pure(rng, 3)
-    reduced = partial_trace_second(np.kron(a, b), 2)
-    assert np.max(np.abs(reduced - density_from_pure(a))) < 1e-12
-
-
-def test_partial_trace_bell_state():
-    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    assert np.allclose(partial_trace_second(bell, 2), np.eye(2) / 2.0, atol=1e-12)
-
-
-def test_partial_trace_dim_mismatch(rng):
-    with pytest.raises(DimMismatch):
-        partial_trace_second(rand_pure(rng, 6), 4)
-    for dim_a in (0, 1.5, 2.0, True):
-        with pytest.raises(InvalidConfig):
-            partial_trace_second(rand_pure(rng, 6), dim_a)
 
 
 # ---------------------------------------------------------------------------

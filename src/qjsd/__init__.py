@@ -19,30 +19,21 @@ from .audit import (
     triangle_defect,
 )
 from .divergences import (
-    classical_jsd,
-    classical_jsd_sqrt_metric_check,
     d_h_by_optimization,
     d_h_closed_form,
     djs1_lower_bound,
     fidelity,
     hilbert_schmidt_distance,
-    measured_jsd,
     phi_pure,
     pure_triangle_scan,
     qjsd,
     qjsd_spectral,
     qjsd_sqrt,
-    qjsd_via_relative_entropy,
-    relative_entropy,
-    schoenberg_check,
-    von_neumann_entropy,
     wootters_distance,
 )
-from .linalg import eigh
 from .states import (
     derive_seed,
     linear_entropy,
-    projective_povm,
     purification,
     read_state_file,
     sample_states,

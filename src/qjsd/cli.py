@@ -214,6 +214,9 @@ def main(argv=None) -> int:
     except QjsdError as exc:
         print(f"qjsd: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        print(f"qjsd: linear algebra failure: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"qjsd: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,4 @@
-"""Distance and divergence measures between probability distributions and
-quantum states.
+"""Distance and divergence measures between quantum states.
 
 Everything entropic is in bits (base-2 logarithms), so the Jensen-Shannon
 divergence is bounded by 1 and its square root by 1. The quantum JSD of
@@ -14,19 +13,17 @@ this package exists to compute and stress-test.
 from __future__ import annotations
 
 import functools
-import math
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, SupportViolation
-from .linalg import clamped_spectrum, eigh, sqrt_from_eigh
+from .errors import DimMismatch, DomainError
+from .linalg import clamped_spectrum, sqrt_from_eigh
 from .states import (
     CounterStream,
     check_cap,
     check_count,
-    check_povm,
     check_pure_state,
     check_seed,
     check_states,
@@ -35,8 +32,6 @@ from .states import (
     unitaries_from_ginibre,
 )
 
-SUPPORT_CUTOFF = 1e-12  # eigenvalues below this count as outside the support
-_SUPPORT_WEIGHT_TOL = 1e-9
 # caps on what one call holds at once: about 105 B per pair-grid point of
 # pure_triangle_scan, and 120-130 B per entry of djs1_lower_bound's bases
 _MAX_SCAN_POINTS = 10**7
@@ -47,32 +42,8 @@ _MINUS_PLUS = np.array([-1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
-# Classical distributions
+# Entropies of spectra and probability laws
 # ---------------------------------------------------------------------------
-
-def check_prob_vector(p) -> np.ndarray:
-    """Validate a probability vector: nonnegative entries summing to 1."""
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a 1-d probability vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("probability vector has non-finite entries")
-    if np.min(v) < -1e-12:
-        raise ValueError(f"negative probability {np.min(v)!r}")
-    s = float(v.sum())
-    if abs(s - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {s!r}, expected 1 within 1e-12")
-    return np.maximum(v, 0.0)
-
-
-def _prob_stack(laws) -> np.ndarray:
-    """The laws, each checked by check_prob_vector, as one (k, n) stack;
-    DimMismatch unless they have one length."""
-    ps = [check_prob_vector(p) for p in laws]
-    if len({p.size for p in ps}) > 1:
-        raise DimMismatch(f"probability vector lengths {sorted({p.size for p in ps})} differ")
-    return np.array(ps)
-
 
 def entropy_from_eigenvalues(w) -> np.ndarray | float:
     """Shannon entropy in bits of a spectrum, along the last axis.
@@ -94,54 +65,6 @@ def _jsd_from_probs(p: np.ndarray, q: np.ndarray):
     h = entropy_from_eigenvalues(np.stack([(p + q) / 2.0, p, q]))
     out = np.maximum(h[0] - 0.5 * h[1] - 0.5 * h[2], 0.0)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def classical_jsd(p, q) -> float:
-    """Jensen-Shannon divergence H((P+Q)/2) - H(P)/2 - H(Q)/2, in bits.
-
-    Symmetric, always defined, and bounded: 0 <= D <= 1.
-    """
-    return _jsd_from_probs(*_prob_stack([p, q]))
-
-
-def classical_jsd_sqrt_metric_check(triplets) -> float:
-    """Worst triangle defect of sqrt(JSD) over (p, r, q) triplets.
-
-    Returns min over triplets of sqrt(D(p,r)) + sqrt(D(r,q)) - sqrt(D(p,q)),
-    with r the pivot, and inf for no triplets. Nonnegative for every input
-    (sqrt(JSD) is a metric on distributions), so anything below -1e-12 would
-    be a counterexample. All vectors must have one length; the 3T sides of T
-    triplets go through one _jsd_from_probs call, bit for bit as classical_jsd.
-    """
-    laws = [v for p, r, q in triplets for v in (p, r, q)]
-    if not laws:
-        return math.inf
-    stack = _prob_stack(laws).reshape(len(laws) // 3, 3, -1)  # (T, 3, n): p, r, q
-    d = np.sqrt(_jsd_from_probs(stack[:, [0, 1, 0]], stack[:, [1, 2, 2]]))
-    return float(np.min(d[:, 0] + d[:, 1] - d[:, 2]))
-
-
-def schoenberg_check(coefficients, distributions) -> float:
-    """Negative-definite-kernel form sum_ij c_i c_j D(P_i, P_j).
-
-    Requires sum_i c_i = 0 (within 1e-12) and at least two distributions,
-    all of one length. For the classical JSD the result is <= 0 up to
-    round-off. The D(P_i, P_j), i < j, come from one _jsd_from_probs call
-    over the stacked pairs and are summed in row-major order of (i, j).
-    """
-    c = np.asarray(coefficients, dtype=np.float64)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("need at least two coefficients")
-    if abs(float(c.sum())) > 1e-12:
-        raise ValueError(f"coefficients sum to {float(c.sum())!r}, expected 0")
-    p = _prob_stack(distributions)
-    if len(p) != c.size:
-        raise DimMismatch("one distribution per coefficient required")
-    iu, ju = np.triu_indices(c.size, 1)
-    total = 0.0
-    for ci, cj, d in zip(c[iu].tolist(), c[ju].tolist(), _jsd_from_probs(p[iu], p[ju]).tolist()):
-        total += 2.0 * ci * cj * d
-    return total  # diagonal terms vanish: D(P, P) = 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,38 +95,10 @@ def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarr
         np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
     )
     stack = np.stack([a - b, a, b, (a + b) / 2.0])
-    w, v = eigh(stack)
+    w, v = np.linalg.eigh(stack)
     clamped_spectrum(w[1:3])  # raises NotPositive below -PSD_CLAMP
     w.flags.writeable = v.flags.writeable = False
     return a, b, w, v
-
-
-def von_neumann_entropy(rho) -> float:
-    """H(rho) = -Tr(rho log2 rho); the Shannon entropy of the spectrum."""
-    w = np.linalg.eigvalsh(check_states(rho)[0])
-    return float(entropy_from_eigenvalues(clamped_spectrum(w)))
-
-
-def relative_entropy(rho, sigma) -> float:
-    """Tr[rho (log2 rho - log2 sigma)] of two density matrices.
-
-    Defined only when the support of rho lies inside the support of sigma
-    (eigenvalue cutoff 1e-12); otherwise raises SupportViolation.
-    """
-    a, b = check_states(rho, sigma)
-    sw, sv = eigh(b)
-    return _relative_entropy(a, clamped_spectrum(np.linalg.eigvalsh(a)), clamped_spectrum(sw), sv)
-
-
-def _relative_entropy(a: np.ndarray, r: np.ndarray, sw: np.ndarray, sv: np.ndarray) -> float:
-    """Tr[a (log2 a - log2 sigma)] from the clamped spectrum r of a state a
-    checked by check_states, and sigma's eigensystem with sw clamped."""
-    weights = np.maximum(np.einsum("ij,jk,ki->i", sv.conj().T, a, sv).real, 0.0)
-    keep = sw >= SUPPORT_CUTOFF
-    outside = float(weights[~keep].sum())
-    if outside > _SUPPORT_WEIGHT_TOL:
-        raise SupportViolation(f"rho has weight {outside:.3e} outside the support of sigma")
-    return -entropy_from_eigenvalues(r) - float(np.sum(weights[keep] * np.log2(sw[keep])))
 
 
 def qjsd_sides(states, spectra=None) -> np.ndarray:
@@ -251,21 +146,6 @@ def qjsd(rho, sigma):
     """
     out = qjsd_sides(check_states(rho, sigma, stack=True))[..., 0]
     return float(out) if out.ndim == 0 else out
-
-
-def qjsd_via_relative_entropy(rho, sigma) -> float:
-    """Same divergence computed as the symmetrized relative entropy to the
-    midpoint state, (S(rho, m) + S(sigma, m))/2 with m = (rho+sigma)/2.
-
-    An independent computation path used to cross-check qjsd. The pair is
-    checked once by check_states and as PSD from its spectra, and rho, sigma
-    and m are each solved once.
-    """
-    a, b = check_states(rho, sigma)
-    ra, rb = (clamped_spectrum(np.linalg.eigvalsh(x)) for x in (a, b))
-    mw, mv = eigh((a + b) / 2.0)
-    mw = clamped_spectrum(mw)
-    return 0.5 * (_relative_entropy(a, ra, mw, mv) + _relative_entropy(b, rb, mw, mv))
 
 
 def qjsd_spectral(rho, sigma) -> float:
@@ -417,25 +297,6 @@ def _jsd_of_outcomes(p: np.ndarray):
     return _jsd_from_probs(p[..., 0, :], p[..., 1, :])
 
 
-def measured_jsd(rho, sigma, povm) -> float:
-    """Classical JSD of the outcome distributions a POVM induces on two states.
-
-    p_i = Tr(E_i rho), q_i = Tr(E_i sigma). Never exceeds qjsd(rho, sigma);
-    equality holds when the states commute and the POVM measures their common
-    eigenbasis. The states are checked by check_states and as PSD from one solve of
-    the pair, the POVM with check_povm. A projective POVM gets what
-    djs1_lower_bound gives for its basis to a few ulps; djs1_lower_bound
-    contracts over basis columns.
-    """
-    pair = check_states(rho, sigma)
-    clamped_spectrum(np.linalg.eigvalsh(pair))  # raises NotPositive below -PSD_CLAMP
-    elements = check_povm(povm)
-    if elements.shape[1:] != pair.shape[1:]:
-        raise DimMismatch("POVM dimension does not match the states")
-    # p[s, k] = Tr(E_k x_s), with x_0 = rho and x_1 = sigma
-    return _jsd_of_outcomes(np.einsum("kij,sij->sk", elements.conj(), pair).real)
-
-
 def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
     """Certified lower bound on the best measured JSD over all POVMs.
 
@@ -538,7 +399,7 @@ def d_h_by_optimization(rho, sigma, restarts: int, seed: int = 0, *, schedule) -
 
     a, b = check_states(rho, sigma)
     n = a.shape[0]
-    (rw, rv), (sw, sv) = eigh(a), eigh(b)
+    (rw, rv), (sw, sv) = np.linalg.eigh(a), np.linalg.eigh(b)
     psi_conj = (rv * np.sqrt(clamped_spectrum(rw))).reshape(-1).conj()  # purification(a, I)
     weighted = sv * np.sqrt(clamped_spectrum(sw))
     objective = functools.partial(_dh_objective, weighted=weighted, psi_conj=psi_conj, n=n)

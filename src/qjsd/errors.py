@@ -9,10 +9,6 @@ class DimMismatch(QjsdError):
     """Operands have incompatible dimensions."""
 
 
-class NonConvergence(QjsdError):
-    """The eigensolver failed to converge (pathological input)."""
-
-
 class NotUnitary(QjsdError):
     """A matrix expected to be unitary is not, beyond tolerance."""
 
@@ -27,10 +23,6 @@ class DomainError(QjsdError):
 
 class NotPositive(DomainError):
     """A matrix expected to be positive semidefinite has an eigenvalue below -1e-10."""
-
-
-class SupportViolation(QjsdError):
-    """Relative entropy S(rho, sigma) requested with support(rho) not inside support(sigma)."""
 
 
 class RejectionBudgetExceeded(QjsdError):

@@ -1,16 +1,16 @@
-"""Dense complex linear algebra: Hermitian eigenproblems and spectral matrix
-functions.
+"""Dense complex linear algebra: matrix checks, the PSD verdict on a spectrum,
+and the square root of a matrix from its eigensystem.
 
-All matrices are square numpy arrays of complex128. Dimensions of interest
-are small (2 to a few dozen), so everything routes through LAPACK's dense
-Hermitian solvers.
+All matrices are square numpy arrays of complex128. Dimensions of interest are
+small (2 to a few dozen), so callers use LAPACK's dense Hermitian solvers,
+np.linalg.eigh and eigvalsh, directly; a failure stays a np.linalg.LinAlgError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, NonConvergence, NotHermitian, NotPositive
+from .errors import DimMismatch, NotHermitian, NotPositive
 
 # Validation tolerances, shared across the package.
 HERMITIAN_TOL = 1e-12
@@ -37,22 +37,6 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"deviation from conjugate transpose is {dev:.3e} > {HERMITIAN_TOL:.0e}")
     return a
-
-
-def eigh(m):
-    """Eigendecomposition of a Hermitian matrix or a stack (..., N, N) of them;
-    numpy's named result.
-
-    Returns real eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns, so that V diag(w) V† reconstructs the input. The
-    input is not checked: callers pass states that check_states has
-    validated, or matrices built from them. A LAPACK failure raises
-    NonConvergence.
-    """
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
 
 
 def clamped_spectrum(w: np.ndarray) -> np.ndarray:

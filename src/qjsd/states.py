@@ -1,4 +1,4 @@
-"""Quantum state types and generation: density matrices, pure states, POVMs,
+"""Quantum state types and generation: density matrices, pure states,
 purifications, and seeded random sampling.
 
 Random mixed states are drawn from the product measure "Haar unitary times
@@ -50,7 +50,6 @@ from .linalg import (
     as_complex_matrix,
     check_hermitian,
     clamped_spectrum,
-    eigh,
 )
 
 REJECTION_BUDGET = 10**6
@@ -195,26 +194,6 @@ def check_unitary(u, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def check_povm(elements) -> np.ndarray:
-    """Validate a POVM: PSD Hermitian elements summing to the identity.
-
-    Takes a list of N x N elements or a (K, N, N) stack, and returns the
-    stack as a complex array.
-    """
-    if len(elements) == 0:
-        raise ValueError("POVM needs at least one element")
-    if len({np.shape(e) for e in elements}) > 1:
-        raise DimMismatch("POVM elements have mixed dimensions")
-    mats = check_hermitian(as_complex_matrix(elements, stack=True))
-    if mats.ndim != 3:
-        raise DimMismatch(f"expected a list of square matrices, got shape {mats.shape}")
-    clamped_spectrum(np.linalg.eigvalsh(mats))  # raises NotPositive below -PSD_CLAMP
-    dev = np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[-1])))
-    if dev > TRACE_TOL:
-        raise ValueError(f"POVM elements sum to identity only within {dev:.3e}")
-    return mats
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -223,13 +202,6 @@ def linear_entropy(rho) -> float:
     """1 - Tr(rho^2); zero for pure states, 1 - 1/N for maximally mixed."""
     a = check_states(rho)[0]
     return float(1.0 - np.vdot(a, a).real)
-
-
-def projective_povm(basis) -> list:
-    """Rank-1 projective POVM from the columns of a unitary, as the list of
-    the N projectors."""
-    u = check_unitary(as_complex_matrix(basis))
-    return [np.outer(col, col.conj()) for col in u.T]
 
 
 def purification(rho, v) -> np.ndarray:
@@ -241,7 +213,7 @@ def purification(rho, v) -> np.ndarray:
     """
     a = check_states(rho)[0]
     u = check_unitary(v, a.shape[0])
-    w, vecs = eigh(a)
+    w, vecs = np.linalg.eigh(a)
     s = np.sqrt(clamped_spectrum(w))  # raises NotPositive below -PSD_CLAMP
     return ((vecs * s) @ u.T).reshape(-1)
 
@@ -417,6 +389,8 @@ def state_from_dict(obj) -> np.ndarray:
     a = m.astype(np.float64, copy=False).view(np.complex128)[..., 0]
     try:
         return check_density(a)
+    except np.linalg.LinAlgError:  # a solver failure, not bad input
+        raise
     except Exception as exc:
         raise ParseError(f"not a valid density matrix: {exc}") from exc
 

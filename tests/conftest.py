@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import qjsd.states as states_mod
-from qjsd.states import projective_povm, unitaries_from_ginibre
+from qjsd.states import unitaries_from_ginibre
+from reference import projective_povm
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from qjsd.anneal import (
 from qjsd.audit import triangle_defect
 from qjsd.divergences import d_h_by_optimization
 from qjsd.errors import DegenerateBlock, InvalidConfig
-from qjsd.linalg import eigh, sqrt_from_eigh
+from qjsd.linalg import sqrt_from_eigh
 from qjsd.states import state_to_dict
 
 from conftest import rand_density
@@ -41,7 +41,7 @@ def _block_from_matrix(a):
 
 def _params_from_states(*states):
     # A = sqrt(rho) decodes back to rho since A A† = rho with unit trace
-    return np.concatenate([_block_from_matrix(sqrt_from_eigh(*eigh(s))) for s in states])
+    return np.concatenate([_block_from_matrix(sqrt_from_eigh(*np.linalg.eigh(s))) for s in states])
 
 
 def test_decode_identity_block():

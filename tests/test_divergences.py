@@ -8,47 +8,30 @@ from qjsd.audit import triangle_defect
 from qjsd.divergences import (
     _phi_raw,
     _unitary_from_params,
-    classical_jsd,
     d_h_by_optimization,
     d_h_closed_form,
     djs1_lower_bound,
     entropy_from_eigenvalues,
     fidelity,
     hilbert_schmidt_distance,
-    measured_jsd,
     phi_pure,
     pure_triangle_scan,
     qjsd,
     qjsd_spectral,
     qjsd_sqrt,
-    qjsd_via_relative_entropy,
-    relative_entropy,
     qjsd_sides,
-    von_neumann_entropy,
     wootters_distance,
 )
+import qjsd as package
 import qjsd.anneal as anneal_mod
 import qjsd.divergences as div_mod
-from qjsd.errors import (
-    DimMismatch,
-    DomainError,
-    InvalidConfig,
-    NotHermitian,
-    NotPositive,
-    QjsdError,
-    SupportViolation,
-)
-from qjsd.states import (
-    CounterStream,
-    derive_seed,
-    linear_entropy,
-    projective_povm,
-    purification,
-    sample_states,
-    unitaries_from_ginibre,
-)
+from qjsd.errors import DimMismatch, DomainError, InvalidConfig, NotHermitian, NotPositive, QjsdError
+from qjsd.states import CounterStream, derive_seed, linear_entropy, purification, sample_states, unitaries_from_ginibre
 
 from conftest import commuting_pair, haar_unitary, projector, rand_density, rand_pure, random_povm
+import reference
+from reference import SupportViolation, classical_jsd, measured_jsd, projective_povm, relative_entropy
+from reference import qjsd_via_relative_entropy, von_neumann_entropy
 
 # frozen reference values (direct high-precision evaluation)
 H_QUARTER = 0.81127812445913286
@@ -869,3 +852,21 @@ def test_unitary_from_params_bit_identical_to_reference(rng, n):
         got = _unitary_from_params(theta, n)
         assert got.shape == theta.shape[:-1] + (n, n)
         assert np.array_equal(got, _unitary_oracle(theta, n))
+
+
+# the 29 names of README's "Python API"; the cross-checks live in tests/reference.py
+_EXPORTS = """run_anneal minimize objective_single objective_symmetrized AnnealSchedule AnnealResult run_audit
+regenerate_triplet triangle_defect AuditReport Histogram TriangleSample qjsd qjsd_sqrt hilbert_schmidt_distance
+fidelity d_h_closed_form d_h_by_optimization djs1_lower_bound wootters_distance phi_pure pure_triangle_scan
+qjsd_spectral sample_states derive_seed read_state_file write_state_file linear_entropy purification""".split()
+_MOVED = """von_neumann_entropy relative_entropy _relative_entropy qjsd_via_relative_entropy measured_jsd check_prob_vector
+_prob_stack classical_jsd classical_jsd_sqrt_metric_check schoenberg_check SUPPORT_CUTOFF _SUPPORT_WEIGHT_TOL check_povm
+projective_povm SupportViolation""".split()
+
+
+def test_the_package_exports_the_instrument_and_no_reference_route():
+    names = {k for k, v in vars(package).items() if not k.startswith("_") and not isinstance(v, type(package))}
+    assert names == set(_EXPORTS) and len(_EXPORTS) == 29
+    for name in _MOVED:
+        assert not any(hasattr(m, name) for m in (package, div_mod, package.states, package.errors)), name
+        assert hasattr(reference, name), name

@@ -20,13 +20,11 @@ from qjsd.errors import (
 )
 from qjsd.states import (
     CounterStream,
-    check_povm,
     chunk_len,
     check_unitary,
     derive_seed,
     linear_entropy,
     map_groups,
-    projective_povm,
     purification,
     read_state_file,
     sample_states,
@@ -34,6 +32,7 @@ from qjsd.states import (
 )
 
 from conftest import haar_unitary, projector, rand_pure, reduced_first
+from reference import check_povm, projective_povm
 
 
 def _counter_draw(dim, n, floor=None, seed=99):

@@ -3,10 +3,11 @@
     python tools/golden.py            # check the outputs against tools/golden.json
     python tools/golden.py --write    # record them for the current sampler_version
 
-Run from anywhere; it imports qjsd from `src/` of this checkout and the
-benchmark's compare inputs from `bench/workloads.py`, read-only, and runs
-every command in this process through `qjsd.cli.main`. Commands that take
-`--workers` run with 1 and with 2 workers, and both must give the same bytes.
+Run from anywhere; it imports qjsd from `src/` of this checkout, the
+benchmark's compare inputs from `bench/workloads.py` and the reference routes
+from `tests/reference.py`, read-only, and runs every command in this process
+through `qjsd.cli.main`. Commands that take `--workers` run with 1 and with 2
+workers, and both must give the same bytes.
 Each audit runs a third time, with 2 workers and chunks of 50 triplets, and
 must give the same bytes again. The set:
 
@@ -61,10 +62,11 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from qjsd import audit, cli, divergences, states  # noqa: E402
 from qjsd.anneal import AnnealSchedule  # noqa: E402
+import reference  # noqa: E402
 import workloads  # noqa: E402
 
 AUDITS = [  # (name, dim, samples, extra options)
@@ -130,31 +132,31 @@ def classical_values() -> list:
     for _ in range(300):
         n = int(rng.integers(2, 7))
         p, r, q = law(n), law(n), law(n)
-        out.append(divergences.classical_jsd_sqrt_metric_check([(p, r, q)]))
-        out.append(divergences.classical_jsd_sqrt_metric_check([(p, p, q), (p, r, r)]))
+        out.append(reference.classical_jsd_sqrt_metric_check([(p, r, q)]))
+        out.append(reference.classical_jsd_sqrt_metric_check([(p, p, q), (p, r, r)]))
     for n, t in ((4, 500), (4, 500), (3, 200), (17, 100)):
-        out.append(divergences.classical_jsd_sqrt_metric_check([(law(n), law(n), law(n)) for _ in range(t)]))
+        out.append(reference.classical_jsd_sqrt_metric_check([(law(n), law(n), law(n)) for _ in range(t)]))
     for _ in range(300):
         k, n = int(rng.integers(2, 8)), int(rng.integers(2, 10))
         c = rng.standard_normal(k)
         c -= c.mean()
-        out.append(divergences.schoenberg_check(c, [law(n) for _ in range(k)]))
+        out.append(reference.schoenberg_check(c, [law(n) for _ in range(k)]))
     return out
 
 
 def state_paths(rho, sigma) -> bytes:
     """The single-state and measured outputs of one pair, as bytes."""
     n = rho.shape[0]
-    values = (divergences.von_neumann_entropy(rho), divergences.von_neumann_entropy(sigma),
-              divergences.qjsd_via_relative_entropy(rho, sigma),
-              divergences.measured_jsd(rho, sigma, states.projective_povm(np.eye(n))))
+    values = (reference.von_neumann_entropy(rho), reference.von_neumann_entropy(sigma),
+              reference.qjsd_via_relative_entropy(rho, sigma),
+              reference.measured_jsd(rho, sigma, reference.projective_povm(np.eye(n))))
     return "".join(map(repr, values)).encode() + states.purification(rho, np.eye(n)).tobytes()
 
 
 def relative_entropy(rho, sigma) -> str:
     """repr of S(rho || sigma), or the name of the error it raises."""
     try:
-        return repr(divergences.relative_entropy(rho, sigma))
+        return repr(reference.relative_entropy(rho, sigma))
     except Exception as exc:
         return type(exc).__name__
 

@@ -29,6 +29,7 @@ from .divergences import (
     qjsd,
     qjsd_spectral,
     qjsd_sqrt,
+    solve_pair,
     wootters_distance,
 )
 from .states import (

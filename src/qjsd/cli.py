@@ -90,21 +90,21 @@ def cmd_compare(args) -> int:
     rho = read_state_file(args.state_a)
     sigma = read_state_file(args.state_b)
     q = div.qjsd(rho, sigma)
-    f = div.fidelity(rho, sigma)
+    pair = div.solve_pair(rho, sigma)
+    f = div.fidelity(pair)
     table = {
         "qjsd": q,
-        "qjsd_spectral": div.qjsd_spectral(rho, sigma),
+        "qjsd_spectral": div.qjsd_spectral(pair),
         "qjsd_sqrt": float(np.sqrt(q)),  # qjsd_sqrt(rho, sigma) without a second qjsd
         "hilbert_schmidt": div.hilbert_schmidt_distance(rho, sigma),
         "fidelity": f,
         "d_h_closed_form": float(np.sqrt(div.phi_pure(f))),  # d_h_closed_form(rho, sigma)
-        "djs1_lower_bound": div.djs1_lower_bound(rho, sigma, restarts=args.restarts, seed=args.seed),
+        "djs1_lower_bound": div.djs1_lower_bound(pair, restarts=args.restarts, seed=args.seed),
     }
     pure_cut = 1.0 - 1e-10
     if 1.0 - linear_entropy(rho) > pure_cut and 1.0 - linear_entropy(sigma) > pure_cut:
-        # fidelity has solved rho and sigma already, as entries 1 and 2 of the pair's stack
-        v = div._pair_eigh(*div._pair_key(rho, sigma))[3]
-        table["wootters"] = div.wootters_distance(v[1][:, -1], v[2][:, -1])
+        # the pair holds the eigenvectors of rho and sigma, as entries 1 and 2 of its stack
+        table["wootters"] = div.wootters_distance(pair.v[1][:, -1], pair.v[2][:, -1])
     _dump(table, sys.stdout)
     return EXIT_OK
 

@@ -71,34 +71,31 @@ def _jsd_from_probs(p: np.ndarray, q: np.ndarray):
 # Quantum states
 # ---------------------------------------------------------------------------
 
-def _pair_key(rho, sigma) -> tuple:
-    """The cache key of a state pair: shape and bytes of each input as complex128."""
-    a = np.asarray(rho, dtype=np.complex128)
-    b = np.asarray(sigma, dtype=np.complex128)
-    return a.shape, a.tobytes(), b.shape, b.tobytes()
+class StatePair(NamedTuple):
+    """Two density matrices a and b of one dimension, with the eigensystem
+    w, v of the stack [a - b, a, b, (a + b)/2], as np.linalg.eigh gives it.
 
-
-@functools.lru_cache(maxsize=1)
-def _pair_eigh(shape_a, bytes_a, shape_b, bytes_b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, w, v) for the pair of a _pair_key: the pair read from the key's
-    bytes and checked as density matrices, and the read-only eigensystem of
-    the stack [a - b, a, b, (a + b)/2].
-
-    fidelity, qjsd_spectral and djs1_lower_bound read their eigensystems from
-    here, so one compare of a pair validates the pair and solves the stack
-    once. The pair is checked by check_states, and as PSD from its own spectra
-    w[1] and w[2]. The stack is not checked again, since a - b may deviate
-    from Hermitian by twice the tolerance of its inputs.
+    solve_pair builds it, and fidelity, qjsd_spectral and djs1_lower_bound
+    read it, so a compare of a pair checks the pair and solves the stack once.
+    Entries 1 and 2 are the spectra and eigenbases of a and b themselves.
     """
-    a, b = check_states(
-        np.frombuffer(bytes_a, np.complex128).reshape(shape_a),
-        np.frombuffer(bytes_b, np.complex128).reshape(shape_b),
-    )
-    stack = np.stack([a - b, a, b, (a + b) / 2.0])
-    w, v = np.linalg.eigh(stack)
+
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+
+
+def solve_pair(rho, sigma) -> StatePair:
+    """The pair checked by check_states, and as PSD from its own spectra w[1]
+    and w[2], with the eigensystem of its stack (see StatePair). The stack is
+    not checked again, since a - b may deviate from Hermitian by twice the
+    tolerance of its inputs.
+    """
+    a, b = check_states(rho, sigma)
+    w, v = np.linalg.eigh(np.stack([a - b, a, b, (a + b) / 2.0]))
     clamped_spectrum(w[1:3])  # raises NotPositive below -PSD_CLAMP
-    w.flags.writeable = v.flags.writeable = False
-    return a, b, w, v
+    return StatePair(a, b, w, v)
 
 
 def qjsd_sides(states, spectra=None) -> np.ndarray:
@@ -148,8 +145,9 @@ def qjsd(rho, sigma):
     return float(out) if out.ndim == 0 else out
 
 
-def qjsd_spectral(rho, sigma) -> float:
-    """The divergence assembled from the three eigensystems involved.
+def qjsd_spectral(pair: StatePair) -> float:
+    """The divergence of a solved pair, assembled from the three eigensystems
+    involved.
 
     With rho = sum_i r_i |r_i><r_i|, sigma = sum_j s_j |s_j><s_j| and the
     unnormalized sum rho + sigma = sum_k t_k |t_k><t_k|, this evaluates
@@ -160,25 +158,23 @@ def qjsd_spectral(rho, sigma) -> float:
     where tau_k = sum_i r_i |<t_k|r_i>|^2 + sum_j s_j |<t_k|s_j>|^2. Terms
     with r_i = 0 or s_j = 0 contribute nothing.
 
-    The eigensystems are those of the stack [a - b, a, b, (a + b)/2] that
-    fidelity and djs1_lower_bound share; the |t_k> are the eigenvectors of
-    (a + b)/2, which are those of a + b (tau_k is built from the overlaps,
-    not from the eigenvalues). qjsd solves nothing from that stack, so this
-    route agrees with qjsd to 1e-9 and shares no intermediate values with it
-    beyond the inputs.
+    The eigensystems are read from the StatePair; the |t_k> are the
+    eigenvectors of (a + b)/2, which are those of a + b (tau_k is built from
+    the overlaps, not from the eigenvalues). qjsd solves nothing from that
+    stack, so this route agrees with qjsd to 1e-9 and shares no intermediate
+    values with it beyond the inputs.
     """
-    _, _, w, v = _pair_eigh(*_pair_key(rho, sigma))
-    rv, sv, tv = v[1], v[2], v[3]
-    rw = clamped_spectrum(w[1])
-    sw = clamped_spectrum(w[2])
+    rv, sv, tv = pair.v[1], pair.v[2], pair.v[3]
+    rw = clamped_spectrum(pair.w[1])
+    sw = clamped_spectrum(pair.w[2])
     over_r = np.abs(tv.conj().T @ rv) ** 2  # [k, i]
     over_s = np.abs(tv.conj().T @ sv) ** 2  # [k, j]
     tau = over_r @ rw + over_s @ sw
     total = 0.0
-    for w, over in ((rw, over_r), (sw, over_s)):
-        mask = (w[None, :] > 0.0) & (tau[:, None] > 0.0)
-        ratio = np.where(mask, 2.0 * w[None, :] / np.where(tau[:, None] > 0.0, tau[:, None], 1.0), 1.0)
-        total += float(np.sum(np.where(mask, over * w[None, :] * np.log2(ratio), 0.0)))
+    for lam, over in ((rw, over_r), (sw, over_s)):
+        mask = (lam[None, :] > 0.0) & (tau[:, None] > 0.0)
+        ratio = np.where(mask, 2.0 * lam[None, :] / np.where(tau[:, None] > 0.0, tau[:, None], 1.0), 1.0)
+        total += float(np.sum(np.where(mask, over * lam[None, :] * np.log2(ratio), 0.0)))
     return 0.5 * total
 
 
@@ -297,26 +293,24 @@ def _jsd_of_outcomes(p: np.ndarray):
     return _jsd_from_probs(p[..., 0, :], p[..., 1, :])
 
 
-def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
-    """Certified lower bound on the best measured JSD over all POVMs.
+def djs1_lower_bound(pair: StatePair, restarts: int, seed: int = 0) -> float:
+    """Certified lower bound on the best measured JSD over all POVMs, for a
+    solved pair (a, b).
 
     Takes the maximum of the measured JSD over rank-1 projective measurements
-    in the eigenbases of rho - sigma, rho, sigma, and (rho+sigma)/2, plus
-    `restarts` Haar-random orthonormal bases, drawn as one stack of Ginibre
-    matrices from the counter stream of key derive_seed(seed, 0x5B0B). The
-    true supremum is at least this value and never exceeds qjsd(rho, sigma).
+    in the eigenbases of a - b, a, b, and (a + b)/2, read from the StatePair,
+    plus `restarts` Haar-random orthonormal bases, drawn as one stack of
+    Ginibre matrices from the counter stream of key derive_seed(seed, 0x5B0B).
+    The true supremum is at least this value and never exceeds qjsd(a, b).
 
-    The inputs are validated once, as density matrices of one dimension,
-    and the four derived operators are eigendecomposed as one stack, which
-    fidelity and qjsd_spectral share for the same pair (see _pair_eigh). All
-    4 + restarts bases are checked as one stack of unitaries. Outcome k of
+    All 4 + restarts bases are checked as one stack of unitaries. Outcome k of
     basis U has probability Re (U† x U)_kk, read for every basis and both
     states from one O(N³) contraction over the stack; no projector is built.
     That needs no PSD check: the projectors of a basis that passes
     check_unitary are PSD, and their outcome laws sum to 1 up to round-off.
     """
     restarts, seed = check_count("restarts", restarts), check_seed(seed)
-    a, b, _, eigenbases = _pair_eigh(*_pair_key(rho, sigma))
+    a, b, _, eigenbases = pair
     n = a.shape[0]
     check_cap("restarts * dim**2", restarts * n * n, _MAX_BASIS_ENTRIES, "random-basis entries")
     entries = 2 * np.arange(restarts * n * n, dtype=np.uint64).reshape(restarts, n, n)
@@ -330,8 +324,9 @@ def djs1_lower_bound(rho, sigma, restarts: int, seed: int = 0) -> float:
 # Fidelity and the purification metric
 # ---------------------------------------------------------------------------
 
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(rho) sigma sqrt(rho)).
+def fidelity(pair: StatePair) -> float:
+    """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(rho) sigma sqrt(rho)) of
+    a solved pair (rho, sigma).
 
     Lies in [0, 1]; for pure states it reduces to the overlap |<psi|phi>|.
 
@@ -342,10 +337,9 @@ def fidelity(rho, sigma) -> float:
     rank-deficient states its true zero eigenvalues come out near 1e-17 and
     each adds about 3e-9 after the square root, while the matching singular
     values of M stay near 1e-17. The square roots come from the eigensystems
-    of the stack that qjsd_spectral and djs1_lower_bound share (see
-    _pair_eigh).
+    of rho and sigma that the StatePair holds.
     """
-    _, _, w, v = _pair_eigh(*_pair_key(rho, sigma))
+    w, v = pair.w, pair.v
     s = np.linalg.svd(sqrt_from_eigh(w[1], v[1]) @ sqrt_from_eigh(w[2], v[2]), compute_uv=False)
     return min(max(float(np.sum(s)), 0.0), 1.0)
 
@@ -355,9 +349,10 @@ def d_h_closed_form(rho, sigma) -> float:
 
     The minimal midpoint entropy over joint purifications is attained at the
     maximal purification overlap, which is the fidelity; phi being decreasing
-    turns the maximum overlap into the minimum entropy.
+    turns the maximum overlap into the minimum entropy. The fidelity is
+    read from the StatePair of solve_pair(rho, sigma).
     """
-    return float(np.sqrt(phi_pure(fidelity(rho, sigma))))
+    return float(np.sqrt(phi_pure(fidelity(solve_pair(rho, sigma)))))
 
 
 def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from qjsd.divergences import (
     qjsd,
     qjsd_spectral,
     qjsd_sqrt,
+    solve_pair,
 )
 from qjsd.states import sample_states
 
@@ -173,7 +174,7 @@ def test_criterion_4_two_path_equivalence():
         for _ in range(1000):
             a, b = rand_density(rng, dim), rand_density(rng, dim)
             d = qjsd(a, b)
-            worst_spectral = max(worst_spectral, abs(qjsd_spectral(a, b) - d))
+            worst_spectral = max(worst_spectral, abs(qjsd_spectral(solve_pair(a, b)) - d))
             worst_relent = max(worst_relent, abs(qjsd_via_relative_entropy(a, b) - d))
     ok = worst_spectral < 1e-9 and worst_relent < 1e-10
     _verdict(
@@ -215,7 +216,7 @@ def test_criterion_6_measurement_bound():
         worst_eq = max(worst_eq, abs(measured_jsd(rho, sigma, projective_povm(u)) - qjsd(rho, sigma)))
     full = qjsd(KET0, PLUS)
     scan_max = _bloch_circle_scan_max(KET0, PLUS)
-    bound = djs1_lower_bound(KET0, PLUS, restarts=16, seed=5)
+    bound = djs1_lower_bound(solve_pair(KET0, PLUS), restarts=16, seed=5)
     gap_ok = bound <= scan_max + 1e-9 and (full - scan_max) > 1e-6 and (full - bound) > 1e-6
     ok = worst_excess <= 1e-10 and worst_eq < 1e-10 and gap_ok
     _verdict(

@@ -11,7 +11,6 @@ import pytest
 
 import qjsd.anneal as anneal_mod
 import qjsd.audit as audit_mod
-import qjsd.divergences as div_mod
 import qjsd.states as states_mod
 from qjsd.anneal import AnnealSchedule, result_to_dict, run_anneal
 from qjsd.cli import _dump, build_parser, main
@@ -224,11 +223,11 @@ def test_compare_malformed_file_exits_65(tmp_path):
 
 @pytest.mark.parametrize("solver", ["eigvalsh", "eigh", "svd", "qr"])
 def test_a_lapack_failure_exits_1(tmp_path, monkeypatch, capsys, solver):
-    # compare fails reading a state (eigvalsh) or in fidelity (eigh, svd), the audit as it draws (qr)
+    # compare fails reading a state (eigvalsh), in solve_pair (eigh) or in fidelity (svd),
+    # the audit as it draws (qr)
     paths = [str(tmp_path / "m.json"), str(tmp_path / "0.json")]
     for rho, path in zip((MIXED, KET0), paths):
         write_state_file(rho, path)
-    div_mod._pair_eigh.cache_clear()  # the pair must be solved, not recalled
     monkeypatch.setattr(np.linalg, solver, mock.Mock(side_effect=np.linalg.LinAlgError(f"{solver} failed")))
     audit = ["audit", "--dim", "2", "--samples", "4", "--out", str(tmp_path / "a")]
     assert main(audit if solver == "qr" else ["compare", *paths]) == 1

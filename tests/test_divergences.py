@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from qjsd.divergences import (
     qjsd_spectral,
     qjsd_sqrt,
     qjsd_sides,
+    solve_pair,
     wootters_distance,
 )
 import qjsd as package
@@ -164,20 +168,20 @@ def test_spectral_path_commuting_reduces_to_classical(rng):
     for _ in range(20):
         p = np.sort(rng.dirichlet(np.ones(3)))
         q = np.sort(rng.dirichlet(np.ones(3)))
-        got = qjsd_spectral(np.diag(p), np.diag(q))
+        got = qjsd_spectral(solve_pair(np.diag(p), np.diag(q)))
         assert got == pytest.approx(classical_jsd(p, q), abs=1e-12)
 
 
 def test_spectral_path_equal_states():
     rho = rand_density(np.random.default_rng(6), 4)
-    assert qjsd_spectral(rho, rho) == pytest.approx(0.0, abs=1e-12)
+    assert qjsd_spectral(solve_pair(rho, rho)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_paths_agree_on_random_qubits():
     rng = np.random.default_rng(3)
     for _ in range(100):
         a, b = rand_density(rng, 2), rand_density(rng, 2)
-        assert abs(qjsd_spectral(a, b) - qjsd(a, b)) < 1e-9
+        assert abs(qjsd_spectral(solve_pair(a, b)) - qjsd(a, b)) < 1e-9
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -186,7 +190,7 @@ def test_three_paths_agree(dim):
     for _ in range(200):
         a, b = rand_density(rng, dim), rand_density(rng, dim)
         d = qjsd(a, b)
-        assert abs(qjsd_spectral(a, b) - d) < 1e-9
+        assert abs(qjsd_spectral(solve_pair(a, b)) - d) < 1e-9
         assert abs(qjsd_via_relative_entropy(a, b) - d) < 1e-10
 
 
@@ -206,7 +210,7 @@ def test_unitary_invariance(dim):
         wa, wb = w @ a @ w.conj().T, w @ b @ w.conj().T
         assert abs(qjsd(wa, wb) - qjsd(a, b)) < 1e-10
         assert abs(qjsd_sqrt(wa, wb) - qjsd_sqrt(a, b)) < 1e-10
-        assert abs(fidelity(wa, wb) - fidelity(a, b)) < 1e-10
+        assert abs(fidelity(solve_pair(wa, wb)) - fidelity(solve_pair(a, b))) < 1e-10
         assert abs(hilbert_schmidt_distance(wa, wb) - hilbert_schmidt_distance(a, b)) < 1e-10
 
 
@@ -215,7 +219,7 @@ def test_binary_distances_symmetric(rng):
         a, b = rand_density(rng, 3), rand_density(rng, 3)
         for f in (qjsd, qjsd_sqrt, hilbert_schmidt_distance):
             assert abs(f(a, b) - f(b, a)) < 1e-12
-        assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-10
+        assert abs(fidelity(solve_pair(a, b)) - fidelity(solve_pair(b, a))) < 1e-10
 
 
 def test_qjsd_bounds_on_samples(rng):
@@ -442,14 +446,14 @@ def test_measured_jsd_bounded_by_qjsd():
 
 def test_djs1_equal_states(rng):
     rho = rand_density(rng, 2)
-    assert djs1_lower_bound(rho, rho, restarts=2) == 0.0
+    assert djs1_lower_bound(solve_pair(rho, rho), restarts=2) == 0.0
 
 
 def test_djs1_commuting_reaches_qjsd():
     rng = np.random.default_rng(77)
     for _ in range(10):
         rho, sigma, *_ = commuting_pair(rng, 3)
-        assert djs1_lower_bound(rho, sigma, restarts=2) == pytest.approx(qjsd(rho, sigma), abs=1e-10)
+        assert djs1_lower_bound(solve_pair(rho, sigma), restarts=2) == pytest.approx(qjsd(rho, sigma), abs=1e-10)
 
 
 def _djs1_bases(a, b, restarts, seed):
@@ -478,7 +482,7 @@ def test_djs1_is_the_best_basis_of_an_independent_loop():
     tol = 8 * np.finfo(np.float64).eps
     for i, (a, b) in enumerate(_djs1_pairs(42)):
         bases = _djs1_bases(a, b, restarts=6, seed=i)
-        got = djs1_lower_bound(a, b, restarts=6, seed=i)
+        got = djs1_lower_bound(solve_pair(a, b), restarts=6, seed=i)
         best = max(
             classical_jsd(np.diag(u.conj().T @ a @ u).real, np.diag(u.conj().T @ b @ u).real) for u in bases
         )
@@ -487,7 +491,8 @@ def test_djs1_is_the_best_basis_of_an_independent_loop():
 
 
 def test_djs1_eigensolves_only_the_four_derived_operators(monkeypatch):
-    # the bases are checked as unitaries, so no projector is eigensolved
+    # solve_pair eigensolves the four derived operators as one stack; the
+    # bases are checked as unitaries, so djs1_lower_bound solves no projector
     rng = np.random.default_rng(43)
     pairs = [(rand_density(rng, n), rand_density(rng, n)) for n in (2, 5, 8)]
     calls = []
@@ -499,16 +504,19 @@ def test_djs1_eigensolves_only_the_four_derived_operators(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     for a, b in pairs:
         calls.clear()
-        djs1_lower_bound(a, b, restarts=3)
+        pair = solve_pair(a, b)
         assert calls == [("eigh", (4,) + a.shape)]
+        calls.clear()
+        djs1_lower_bound(pair, restarts=3)
+        assert calls == []
 
 
 def test_djs1_rejects_a_non_count(rng):
     a, b = rand_density(rng, 2), rand_density(rng, 2)
     for restarts in (0, 2.5, 2.0, True, "2"):
         with pytest.raises(InvalidConfig):
-            djs1_lower_bound(a, b, restarts=restarts)
-    assert djs1_lower_bound(a, b, restarts=np.int64(2)) == djs1_lower_bound(a, b, restarts=2)
+            djs1_lower_bound(solve_pair(a, b), restarts=restarts)
+    assert djs1_lower_bound(solve_pair(a, b), restarts=np.int64(2)) == djs1_lower_bound(solve_pair(a, b), restarts=2)
 
 
 def test_djs1_accepts_states_qjsd_accepts():
@@ -517,7 +525,7 @@ def test_djs1_accepts_states_qjsd_accepts():
     b = np.array([[0.5, 0.2 - 0.9e-12j], [0.2, 0.5]])
     full = qjsd(a, b)
     assert full == pytest.approx(0.01522, abs=1e-5)
-    assert 0.0 < djs1_lower_bound(a, b, restarts=2) <= full
+    assert 0.0 < djs1_lower_bound(solve_pair(a, b), restarts=2) <= full
 
 
 def _bloch_circle_scan_max(rho, sigma, step=1e-3):
@@ -568,11 +576,11 @@ def test_djs1_caps_its_random_bases(small_arange, monkeypatch):
     a, b = sample_states(8, 1, [0, 1])
     for restarts in (156_251, 10**6):  # 156_250 * 64 is the cap
         with pytest.raises(InvalidConfig, match="cap of 10000000 random-basis entries"):
-            djs1_lower_bound(a, b, restarts=restarts)
+            djs1_lower_bound(solve_pair(a, b), restarts=restarts)
     monkeypatch.setattr(div_mod, "_MAX_BASIS_ENTRIES", 3 * 64)
-    djs1_lower_bound(a, b, restarts=3)  # the cap itself is admitted
+    djs1_lower_bound(solve_pair(a, b), restarts=3)  # the cap itself is admitted
     with pytest.raises(InvalidConfig, match="restarts \\* dim\\*\\*2 = 256 exceeds"):
-        djs1_lower_bound(a, b, restarts=4)
+        djs1_lower_bound(solve_pair(a, b), restarts=4)
 
 
 def test_djs1_gap_for_noncommuting_pair():
@@ -582,7 +590,7 @@ def test_djs1_gap_for_noncommuting_pair():
     scan_max = _bloch_circle_scan_max(KET0, PLUS)
     # sup at theta = 3 pi / 4, where p + q = 1: 1 - h2((2 - sqrt 2) / 4)
     assert scan_max == pytest.approx(DJS1_KET0_PLUS, abs=1e-6)
-    bound = djs1_lower_bound(KET0, PLUS, restarts=16, seed=5)
+    bound = djs1_lower_bound(solve_pair(KET0, PLUS), restarts=16, seed=5)
     assert bound <= scan_max + 1e-9
     assert bound > scan_max - 1e-3  # the candidate-basis search is tight here
     assert full - bound > 1e-6
@@ -603,9 +611,9 @@ _PAIR_FUNCTIONS = {
     "triangle_defect_pivot": lambda a, b: triangle_defect(MIXED, a, b),
     "relative_entropy": relative_entropy,
     "qjsd_via_relative_entropy": qjsd_via_relative_entropy,
-    "fidelity": fidelity,
-    "qjsd_spectral": qjsd_spectral,
-    "djs1_lower_bound": lambda a, b: djs1_lower_bound(a, b, restarts=2),
+    "fidelity": lambda a, b: fidelity(solve_pair(a, b)),
+    "qjsd_spectral": lambda a, b: qjsd_spectral(solve_pair(a, b)),
+    "djs1_lower_bound": lambda a, b: djs1_lower_bound(solve_pair(a, b), restarts=2),
     "measured_jsd": lambda a, b: measured_jsd(a, b, _BASIS_POVM),
 }
 
@@ -730,31 +738,47 @@ def test_state_functions_reject_what_is_not_a_state(name):
 
 
 def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):
-    # fidelity, qjsd_spectral and djs1_lower_bound share one cached
-    # eigensystem per pair, keyed on the inputs' bytes, not on the objects
-    for fn in (fidelity, qjsd_spectral, lambda x, y: djs1_lower_bound(x, y, restarts=2)):
+    # a solved pair holds its own copy of the inputs: overwriting an input
+    # leaves the pair's measures bit for bit as they were, and a fresh
+    # solve_pair follows the new input
+    for fn in (fidelity, qjsd_spectral, lambda p: djs1_lower_bound(p, restarts=2)):
         for dim in (2, 5):
             a, b = rand_density(rng, dim), rand_density(rng, dim)
-            before = fn(a, b)
+            pair = solve_pair(a, b)
+            before = fn(pair)
             a[...] = rand_density(rng, dim)
-            got = fn(a, b)
+            assert fn(pair) == before
+            got = fn(solve_pair(a, b))
             assert got != before
-            assert got == fn(a.copy(), b.copy())
+            assert got == fn(solve_pair(a.copy(), b.copy()))
+
+
+def test_pair_measures_solve_nothing(rng, monkeypatch):
+    # the three measures read the pair's eigensystem and solve no spectrum of their own
+    measures = (fidelity, qjsd_spectral, lambda p: djs1_lower_bound(p, restarts=3))
+    pairs = [solve_pair(rand_density(rng, n), rand_density(rng, n)) for n in (2, 5, 8)]
+    before = [[fn(p) for fn in measures] for p in pairs]
+    for name in ("eigh", "eigvalsh"):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"np.linalg.{_name} called")
+
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert [[fn(p) for fn in measures] for p in pairs] == before
 
 
 def test_fidelity_equal_states(rng):
     rho = rand_density(rng, 3)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+    assert fidelity(solve_pair(rho, rho)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_orthogonal_pure():
-    assert fidelity(KET0, KET1) == pytest.approx(0.0, abs=1e-8)
+    assert fidelity(solve_pair(KET0, KET1)) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_fidelity_pure_pairs_overlap(rng):
     for _ in range(50):
         psi, phi = rand_pure(rng, 3), rand_pure(rng, 3)
-        got = fidelity(projector(psi), projector(phi))
+        got = fidelity(solve_pair(projector(psi), projector(phi)))
         assert got == pytest.approx(abs(np.vdot(psi, phi)), abs=1e-10)
 
 
@@ -854,11 +878,11 @@ def test_unitary_from_params_bit_identical_to_reference(rng, n):
         assert np.array_equal(got, _unitary_oracle(theta, n))
 
 
-# the 29 names of README's "Python API"; the cross-checks live in tests/reference.py
+# the 30 names of README's "Python API"; the cross-checks live in tests/reference.py
 _EXPORTS = """run_anneal minimize objective_single objective_symmetrized AnnealSchedule AnnealResult run_audit
 regenerate_triplet triangle_defect AuditReport Histogram TriangleSample qjsd qjsd_sqrt hilbert_schmidt_distance
 fidelity d_h_closed_form d_h_by_optimization djs1_lower_bound wootters_distance phi_pure pure_triangle_scan
-qjsd_spectral sample_states derive_seed read_state_file write_state_file linear_entropy purification""".split()
+qjsd_spectral solve_pair sample_states derive_seed read_state_file write_state_file linear_entropy purification""".split()
 _MOVED = """von_neumann_entropy relative_entropy _relative_entropy qjsd_via_relative_entropy measured_jsd check_prob_vector
 _prob_stack classical_jsd classical_jsd_sqrt_metric_check schoenberg_check SUPPORT_CUTOFF _SUPPORT_WEIGHT_TOL check_povm
 projective_povm SupportViolation""".split()
@@ -866,7 +890,19 @@ projective_povm SupportViolation""".split()
 
 def test_the_package_exports_the_instrument_and_no_reference_route():
     names = {k for k, v in vars(package).items() if not k.startswith("_") and not isinstance(v, type(package))}
-    assert names == set(_EXPORTS) and len(_EXPORTS) == 29
+    assert names == set(_EXPORTS) and len(_EXPORTS) == 30
     for name in _MOVED:
         assert not any(hasattr(m, name) for m in (package, div_mod, package.states, package.errors)), name
         assert hasattr(reference, name), name
+
+
+def test_no_module_keeps_a_cache():
+    # no part of the package holds state between calls; the parser is built
+    # once per process, and parse_args keeps no state in it
+    cached = [
+        f"{info.name}.{k}"
+        for info in pkgutil.iter_modules(package.__path__)
+        for k, v in vars(importlib.import_module(f"qjsd.{info.name}")).items()
+        if hasattr(v, "cache_info")
+    ]
+    assert cached == ["cli.build_parser"]

@@ -8,7 +8,7 @@ from scipy import stats
 import qjsd.states as states_mod
 from qjsd.anneal import AnnealSchedule, minimize, objective_single, result_to_dict, run_anneal
 from qjsd.audit import report_to_dict, run_audit
-from qjsd.divergences import d_h_by_optimization, djs1_lower_bound
+from qjsd.divergences import d_h_by_optimization, djs1_lower_bound, solve_pair
 from qjsd.errors import (
     DimMismatch,
     InvalidConfig,
@@ -465,7 +465,7 @@ _SEEDED = {
     "run_audit": _audit,
     "run_anneal": lambda seed, real: json.dumps(result_to_dict(run_anneal("single", 2, _tiny(real), seed))),
     "sample_states": lambda seed, real: sample_states(2, seed, [0, 1], real(0.25)).tobytes(),
-    "djs1_lower_bound": lambda seed, real: repr(djs1_lower_bound(*_PAIR, restarts=2, seed=seed)),
+    "djs1_lower_bound": lambda seed, real: repr(djs1_lower_bound(solve_pair(*_PAIR), restarts=2, seed=seed)),
     "minimize": _minimize,
     "d_h_by_optimization": lambda seed, real: repr(
         d_h_by_optimization(*_PAIR, restarts=1, seed=seed, schedule=_tiny(real))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
-from .divergences import qjsd_sides
+from .divergences import defect_from_sides, qjsd_sides
 from .errors import DegenerateBlock, InvalidConfig
 from .states import check_cap, check_count, check_real, check_seed, derive_seed, map_groups, state_to_dict
 
@@ -29,6 +29,8 @@ _TRACE_FLOOR = 1e-30
 # best value per temperature, at about 21 B per entry (tracemalloc, dim 2),
 # also while `qjsd anneal` streams its JSON
 _MAX_RUN_ENTRIES = 7 * 10**6
+# sides (D01, D12, D20) reordered so that defect_from_sides pivots on states 1, 0 and 2
+_PIVOTS = np.array([[0, 1, 2], [0, 2, 1], [2, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,6 @@ def _decode_triplet(params: np.ndarray, dim: int) -> np.ndarray:
     return g
 
 
-def _sides(params: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = np.sqrt(qjsd_sides(_decode_triplet(params, dim)))
-    return d[..., 0], d[..., 1], d[..., 2]
-
-
 def objective_single(params: np.ndarray, dim: int):
     """Triangle defect d(rho,xi) + d(xi,sigma) - d(rho,sigma) of the decoded triplet.
 
@@ -90,8 +87,7 @@ def objective_single(params: np.ndarray, dim: int):
     stack (..., 6*dim^2), giving an array of the leading shape; each row's
     value is bit for bit what the row alone gives.
     """
-    d01, d12, d02 = _sides(params, dim)
-    return d01 + d12 - d02
+    return defect_from_sides(qjsd_sides(_decode_triplet(params, dim)))
 
 
 def objective_symmetrized(params: np.ndarray, dim: int):
@@ -102,8 +98,8 @@ def objective_symmetrized(params: np.ndarray, dim: int):
     its minimum 0 is reached on every coincident triplet, wherever it lies.
     Takes one parameter vector or a stack, as objective_single does.
     """
-    d01, d12, d02 = _sides(params, dim)
-    return ((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0
+    t = defect_from_sides(qjsd_sides(_decode_triplet(params, dim)).take(_PIVOTS, axis=-1))
+    return (t[..., 0] + t[..., 1] + t[..., 2]) / 3.0
 
 
 _OBJECTIVES = {"single": objective_single, "symmetrized": objective_symmetrized}

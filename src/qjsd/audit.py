@@ -23,8 +23,9 @@ from functools import partial
 
 import numpy as np
 
+from . import divergences
 from .divergences import entropy_from_eigenvalues  # noqa: F401 -- bench/tracing.py patches this name
-from .divergences import qjsd_sides, qjsd_sqrt
+from .divergences import defect_from_sides, qjsd_sides
 from .errors import DimMismatch, InvalidConfig
 from .states import (
     CounterStream,
@@ -57,16 +58,16 @@ def triangle_defect(rho, xi, sigma) -> float:
     The middle argument is the pivot. Nonnegative everywhere if the triangle
     inequality holds; the audit hunts for counterexamples.
 
-    The three sides are one qjsd_sqrt call on the stacked pairs
-    (rho, xi), (xi, sigma), (rho, sigma): nine eigensolves in one LAPACK
-    call, with the bits of three single-pair calls.
+    The three sides come from one divergences.qjsd call, looked up at call
+    time for bench/tracing.py, on the stacked pairs (rho, xi), (xi, sigma),
+    (rho, sigma): nine eigensolves in one LAPACK call, with the bits of
+    three single-pair calls.
     """
     states = [np.asarray(m) for m in (rho, xi, sigma)]
     if len({m.shape for m in states}) > 1 or states[0].ndim != 2:
         raise DimMismatch(f"expected three N x N states, got shapes {[m.shape for m in states]}")
     r, x, s = states
-    d = qjsd_sqrt(np.stack([r, x, r]), np.stack([x, s, s]))
-    return float(d[0] + d[1] - d[2])
+    return float(defect_from_sides(divergences.qjsd(np.stack([r, x, r]), np.stack([x, s, s]))))
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,7 @@ def _shard(
         seeds = derive_seed(seed, np.arange(lo, hi, dtype=np.uint64))
         rhos, lams = _draw_triplets(seeds, dim, floor)
         # state entropies come from the sampled spectra (rho = U diag(lam) U†)
-        d = np.sqrt(qjsd_sides(rhos, spectra=lams))
-        defects = d[:, 0] + d[:, 1] - d[:, 2]
+        defects = defect_from_sides(qjsd_sides(rhos, spectra=lams))
         tally += np.bincount(np.searchsorted(edges, defects, side="right"), minlength=tally.size)
         signs += np.bincount(np.searchsorted(cuts, defects, side="right"), minlength=3)
         order = np.argsort(defects, kind="stable")[:_K_SMALLEST]

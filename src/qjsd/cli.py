@@ -1,8 +1,8 @@
 """Command-line front end: audit, anneal, compare, sample, purescan.
 
 All randomness flows from --seed; outputs are byte-identical across reruns
-and worker counts. Exit status 2 is reserved for a mathematical
-counterexample (a triangle violation or a negative annealed defect).
+and worker counts. Exit 2 marks a counterexample: an audit triangle
+violation, an annealed defect below -1e-9 or a purescan minimum below -1e-12.
 """
 
 from __future__ import annotations

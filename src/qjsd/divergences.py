@@ -102,14 +102,14 @@ def qjsd_sides(states, spectra=None) -> np.ndarray:
     """Quantum JSD of the sides of each state pair or triplet, clamped at 0.
 
     `states` has shape (..., k, N, N). A pair (k = 2) has the one side
-    D(s0, s1) and a triplet (k = 3) the three sides D(s0, s1), D(s1, s2),
-    D(s2, s0); the result has shape (..., 1) or (..., 3). Each side is
-    H(m) - (H(a) + H(b))/2 with the midpoint m = (a + b)/2, clamped at 0,
-    from one eigvalsh call over the states and the midpoints. A caller that
-    already knows the spectra of the states passes them as `spectra`, shape
-    (..., k, N); their entropies are then taken from those and only the
-    midpoints are eigensolved. This is the one place the package evaluates
-    that entropy difference for density matrices.
+    D(s0, s1), a triplet (k = 3) the sides D(s0, s1), D(s1, s2), D(s2, s0)
+    in the order defect_from_sides reads; the result has shape (..., 1) or
+    (..., 3). Each side is H(m) - (H(a) + H(b))/2 with the midpoint
+    m = (a + b)/2, clamped at 0, from one eigvalsh call over the states and
+    the midpoints. A caller that already knows the spectra of the states
+    passes them as `spectra`, shape (..., k, N); their entropies are then
+    taken from those and only the midpoints are eigensolved. This is the one
+    place the package evaluates that entropy difference for density matrices.
 
     Raises NotPositive, a DomainError, when an eigensolved matrix has an
     eigenvalue below -1e-10 (see clamped_spectrum).
@@ -127,6 +127,13 @@ def qjsd_sides(states, spectra=None) -> np.ndarray:
     h = entropy_from_eigenvalues(clamped_spectrum(w))
     h_state = h[..., :k] if spectra is None else entropy_from_eigenvalues(spectra)
     return np.maximum(h[..., -n:] - 0.5 * (h_state[..., :n] + h_state.take(partner, axis=-1)), 0.0)
+
+
+def defect_from_sides(sides) -> np.ndarray:
+    """Triangle defect sqrt(D01) + sqrt(D12) - sqrt(D20), pivot s1, of the
+    sides (..., 3) of triplets in qjsd_sides' order; shape (...)."""
+    d = np.sqrt(sides).T  # side axis first: a lone triplet's d[k] are scalars, not 0-d views
+    return (d[0] + d[1] - d[2]).T
 
 
 def qjsd(rho, sigma):
@@ -234,7 +241,9 @@ def pure_triangle_scan(grid_steps: int, x_steps: int = 20) -> ScanResult:
     disks |a| <= 1, |b| <= 1 in polar form, keeping only normalizable points
     (|a|^2 + |b|^2 + 2 x Re(a conj(b)) <= 1); then y = |a + b x| and
     z = |conj(a) x + conj(b)| and the defect is g = sqrt(phi(y)) +
-    sqrt(phi(z)) - sqrt(phi(x)). Returns the minimum and its location.
+    sqrt(phi(z)) - sqrt(phi(x)), that of defect_from_sides written out:
+    stacking the sides would copy phi(x) and two grid-sized arrays into one
+    of three grid sizes at each x. Returns the minimum and its location.
     """
     grid_steps = check_count("grid_steps", grid_steps, least=2)
     x_steps = check_count("x_steps", x_steps, least=2)

@@ -19,7 +19,7 @@ from qjsd.anneal import (
     run_anneal,
 )
 from qjsd.audit import triangle_defect
-from qjsd.divergences import d_h_by_optimization
+from qjsd.divergences import d_h_by_optimization, qjsd_sides
 from qjsd.errors import DegenerateBlock, InvalidConfig
 from qjsd.linalg import sqrt_from_eigh
 from qjsd.states import state_to_dict
@@ -103,6 +103,19 @@ def test_objective_symmetrized_permutation_invariant(rng):
     for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
         permuted = objective_symmetrized(_params_from_states(*(states[i] for i in perm)), 2)
         assert permuted == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_objectives_keep_the_bits_of_the_written_out_defects(rng, dim):
+    # each objective against its formula spelled out on the three sides,
+    # in the order of the terms it sums
+    stack = rng.standard_normal((16, 6 * dim * dim))
+    d = np.sqrt(qjsd_sides(_decode_triplet(stack, dim)))
+    d01, d12, d02 = d[..., 0], d[..., 1], d[..., 2]
+    single = d01 + d12 - d02
+    symmetrized = ((d01 + d12 - d02) + (d01 + d02 - d12) + (d02 + d12 - d01)) / 3.0
+    assert objective_single(stack, dim).tobytes() == single.tobytes()
+    assert objective_symmetrized(stack, dim).tobytes() == symmetrized.tobytes()
 
 
 def test_schedule_defaults_and_validation():

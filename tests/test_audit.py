@@ -15,9 +15,9 @@ from qjsd.audit import (
     run_audit,
     triangle_defect,
 )
-from qjsd.divergences import qjsd_sqrt
+from qjsd.divergences import defect_from_sides, qjsd_sides, qjsd_sqrt
 from qjsd.errors import DimMismatch, InvalidConfig
-from qjsd.states import chunk_len, derive_seed
+from qjsd.states import check_states, chunk_len, derive_seed
 
 from conftest import projector, rand_density, rand_pure
 
@@ -40,7 +40,9 @@ def test_defect_qubit_oracle_value():
 
 
 def test_defect_is_the_sum_of_three_single_pair_calls(rng):
-    # one stacked qjsd_sqrt call gives each side the bits of its own call
+    # one qjsd call on the stacked pairs gives each side the bits of its own
+    # call, and one qjsd_sides call on the triplet (6 eigensolves, not 9)
+    # gives the defect's bits too
     for dim in range(2, 9):
         for _ in range(3):
             mixed = [rand_density(rng, dim) for _ in range(3)]
@@ -48,6 +50,8 @@ def test_defect_is_the_sum_of_three_single_pair_calls(rng):
             for rho, xi, sigma in (mixed, pure):
                 want = qjsd_sqrt(rho, xi) + qjsd_sqrt(xi, sigma) - qjsd_sqrt(rho, sigma)
                 assert triangle_defect(rho, xi, sigma) == want
+                triplet_route = defect_from_sides(qjsd_sides(check_states(rho, xi, sigma)))
+                assert float(triplet_route) == triangle_defect(rho, xi, sigma)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

@@ -34,7 +34,6 @@ from .divergences import (
 )
 from .states import (
     derive_seed,
-    linear_entropy,
     purification,
     read_state_file,
     sample_states,

@@ -22,7 +22,7 @@ from . import anneal as anneal_mod
 from . import audit as audit_mod
 from . import divergences as div
 from .errors import DimMismatch, InvalidConfig, ParseError, QjsdError
-from .states import check_count, chunk_len, linear_entropy, read_state_file, sample_states, write_state_file
+from .states import _linear_entropy, check_count, chunk_len, read_state_file, sample_states, write_state_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -90,20 +90,22 @@ def cmd_compare(args) -> int:
     rho = read_state_file(args.state_a)
     sigma = read_state_file(args.state_b)
     q = div.qjsd(rho, sigma)
+    # one check of the pair, and one solve of its stack, for every entry below
     pair = div.solve_pair(rho, sigma)
     f = div.fidelity(pair)
     table = {
         "qjsd": q,
         "qjsd_spectral": div.qjsd_spectral(pair),
         "qjsd_sqrt": float(np.sqrt(q)),  # qjsd_sqrt(rho, sigma) without a second qjsd
-        "hilbert_schmidt": div.hilbert_schmidt_distance(rho, sigma),
+        "hilbert_schmidt": div.hilbert_schmidt_distance(pair),
         "fidelity": f,
         "d_h_closed_form": float(np.sqrt(div.phi_pure(f))),  # d_h_closed_form(rho, sigma)
         "djs1_lower_bound": div.djs1_lower_bound(pair, restarts=args.restarts, seed=args.seed),
     }
     pure_cut = 1.0 - 1e-10
-    if 1.0 - linear_entropy(rho) > pure_cut and 1.0 - linear_entropy(sigma) > pure_cut:
-        # the pair holds the eigenvectors of rho and sigma, as entries 1 and 2 of its stack
+    # the purity test reads the pair's checked states, and the Wootters angle
+    # the eigenvectors of rho and sigma, entries 1 and 2 of the pair's stack
+    if 1.0 - _linear_entropy(pair.a) > pure_cut and 1.0 - _linear_entropy(pair.b) > pure_cut:
         table["wootters"] = div.wootters_distance(pair.v[1][:, -1], pair.v[2][:, -1])
     _dump(table, sys.stdout)
     return EXIT_OK

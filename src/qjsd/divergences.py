@@ -75,8 +75,9 @@ class StatePair(NamedTuple):
     """Two density matrices a and b of one dimension, with the eigensystem
     w, v of the stack [a - b, a, b, (a + b)/2], as np.linalg.eigh gives it.
 
-    solve_pair builds it, and fidelity, qjsd_spectral and djs1_lower_bound
-    read it, so a compare of a pair checks the pair and solves the stack once.
+    solve_pair builds it, and hilbert_schmidt_distance, fidelity,
+    qjsd_spectral and djs1_lower_bound read it, so a compare of a pair checks
+    the pair and solves the stack once.
     Entries 1 and 2 are the spectra and eigenbases of a and b themselves.
     """
 
@@ -169,20 +170,17 @@ def qjsd_spectral(pair: StatePair) -> float:
     eigenvectors of (a + b)/2, which are those of a + b (tau_k is built from
     the overlaps, not from the eigenvalues). qjsd solves nothing from that
     stack, so this route agrees with qjsd to 1e-9 and shares no intermediate
-    values with it beyond the inputs.
+    values with it beyond the inputs. The sums over rho and over sigma are
+    taken in one stacked pass, each over its own (k, i) block.
     """
-    rv, sv, tv = pair.v[1], pair.v[2], pair.v[3]
-    rw = clamped_spectrum(pair.w[1])
-    sw = clamped_spectrum(pair.w[2])
-    over_r = np.abs(tv.conj().T @ rv) ** 2  # [k, i]
-    over_s = np.abs(tv.conj().T @ sv) ** 2  # [k, j]
-    tau = over_r @ rw + over_s @ sw
-    total = 0.0
-    for lam, over in ((rw, over_r), (sw, over_s)):
-        mask = (lam[None, :] > 0.0) & (tau[:, None] > 0.0)
-        ratio = np.where(mask, 2.0 * lam[None, :] / np.where(tau[:, None] > 0.0, tau[:, None], 1.0), 1.0)
-        total += float(np.sum(np.where(mask, over * lam[None, :] * np.log2(ratio), 0.0)))
-    return 0.5 * total
+    lam = clamped_spectrum(pair.w[1:3])[:, None, :]  # [state, ., i]
+    over = np.abs(pair.v[3].conj().T @ pair.v[1:3]) ** 2  # [state, k, i]
+    tau = (over[0] @ lam[0, 0] + over[1] @ lam[1, 0])[:, None]  # [k, .]
+    mask = (lam > 0.0) & (tau > 0.0)
+    ratio = np.where(mask, 2.0 * lam / np.where(tau > 0.0, tau, 1.0), 1.0)
+    terms = np.where(mask, over * lam * np.log2(ratio), 0.0)
+    s_rho, s_sigma = terms.reshape(2, -1).sum(axis=-1).tolist()
+    return 0.5 * (0.0 + s_rho + s_sigma)
 
 
 def qjsd_sqrt(rho, sigma):
@@ -282,12 +280,11 @@ def wootters_distance(psi, phi) -> float:
     return float(np.arccos(np.clip(np.abs(np.vdot(u, v)), 0.0, 1.0)))
 
 
-def hilbert_schmidt_distance(a, b) -> float:
-    """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between two states of
-    one shape, checked by check_states; it solves no spectrum, so checks no PSD."""
-    x, y = check_states(a, b)
-    d = x - y
-    return float(np.sqrt(max(np.vdot(d, d).real, 0.0)))
+def hilbert_schmidt_distance(pair: StatePair) -> float:
+    """Frobenius-norm distance sqrt(Tr[(a-b)†(a-b)]) between the states of a
+    solved pair (a, b); it reads the checked states and solves nothing."""
+    d = pair.a - pair.b
+    return float(np.sqrt(np.vdot(d, d).real))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +342,12 @@ def fidelity(pair: StatePair) -> float:
     eigenvalues of sqrt(rho) sigma sqrt(rho) instead amplifies round-off: for
     rank-deficient states its true zero eigenvalues come out near 1e-17 and
     each adds about 3e-9 after the square root, while the matching singular
-    values of M stay near 1e-17. The square roots come from the eigensystems
-    of rho and sigma that the StatePair holds.
+    values of M stay near 1e-17. Both square roots come from one stacked
+    sqrt_from_eigh call on the eigensystems of rho and sigma that the
+    StatePair holds.
     """
-    w, v = pair.w, pair.v
-    s = np.linalg.svd(sqrt_from_eigh(w[1], v[1]) @ sqrt_from_eigh(w[2], v[2]), compute_uv=False)
+    root_rho, root_sigma = sqrt_from_eigh(pair.w[1:3], pair.v[1:3])
+    s = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
     return min(max(float(np.sum(s)), 0.0), 1.0)
 
 

@@ -17,6 +17,7 @@ HERMITIAN_TOL = 1e-12
 PSD_CLAMP = 1e-10  # eigenvalues in [-PSD_CLAMP, 0) are round-off, below is an error
 TRACE_TOL = 1e-10
 UNITARY_TOL = 1e-10
+_EPS = np.finfo(np.float64).eps
 
 
 def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
@@ -50,12 +51,14 @@ def clamped_spectrum(w: np.ndarray) -> np.ndarray:
 
 def sqrt_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Principal square root V diag(sqrt w) V† of a PSD Hermitian matrix from
-    its eigensystem.
+    its eigensystem, or of each matrix of a stack from the stacked
+    eigensystems w (..., N) and v (..., N, N); a matrix gets the same bits in
+    a stack as alone.
 
-    Eigenvalues at or below the eigensolver's round-off level N*eps*max|w|
-    count as zero: a true zero comes out near 1e-16, and its square root,
-    near 1e-8, would otherwise pass into the result.
+    Eigenvalues at or below the eigensolver's round-off level N*eps*max w of
+    their own matrix count as zero: a true zero comes out near 1e-16, and its
+    square root, near 1e-8, would otherwise pass into the result.
     """
     w = clamped_spectrum(w)
-    s = np.sqrt(np.where(w > w.size * np.finfo(np.float64).eps * np.max(w), w, 0.0))
-    return (v * s) @ v.conj().T
+    s = np.sqrt(np.where(w > w.shape[-1] * _EPS * np.max(w, axis=-1, keepdims=True), w, 0.0))
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)

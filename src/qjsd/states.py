@@ -198,10 +198,15 @@ def check_unitary(u, dim: int | None = None) -> np.ndarray:
 # Constructions
 # ---------------------------------------------------------------------------
 
-def linear_entropy(rho) -> float:
-    """1 - Tr(rho^2); zero for pure states, 1 - 1/N for maximally mixed."""
-    a = check_states(rho)[0]
+def _linear_entropy(a: np.ndarray) -> float:
+    """1 - Tr(a^2) of a matrix a that check_states has passed."""
     return float(1.0 - np.vdot(a, a).real)
+
+
+def linear_entropy(rho) -> float:
+    """1 - Tr(rho^2) of rho checked by check_states; zero for pure states,
+    1 - 1/N for maximally mixed."""
+    return _linear_entropy(check_states(rho)[0])
 
 
 def purification(rho, v) -> np.ndarray:

@@ -304,7 +304,7 @@ def test_criterion_9_metric_axioms():
             w, v = np.linalg.eigh(base + eps * h / max(np.linalg.norm(h), 1e-300))
             w = np.maximum(w, 0.0)
             sigma = (v * (w / w.sum())) @ v.conj().T
-            if qjsd_sqrt(base, sigma) < 1e-7 and hilbert_schmidt_distance(base, sigma) >= 1e-5:
+            if qjsd_sqrt(base, sigma) < 1e-7 and hilbert_schmidt_distance(solve_pair(base, sigma)) >= 1e-5:
                 implication_holds = False
     ok = worst_sym < 1e-12 and min_distinct > 0.0 and implication_holds
     _verdict(

@@ -236,9 +236,11 @@ def test_a_lapack_failure_exits_1(tmp_path, monkeypatch, capsys, solver):
 
 def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
     # two eigvalsh to read the files, one for qjsd, and one eigh of the stack
-    # [a - b, a, b, (a + b)/2] that fidelity, qjsd_spectral and
-    # djs1_lower_bound share; a pure pair reads its vectors for the Wootters
-    # angle from that stack too
+    # [a - b, a, b, (a + b)/2] that hilbert_schmidt_distance, fidelity,
+    # qjsd_spectral and djs1_lower_bound share; a pure pair reads its vectors
+    # for the Wootters angle from that stack too. The states are checked four
+    # times: once by each file read, once by qjsd and once by solve_pair, whose
+    # checked pair the purity test reads.
     rng = np.random.default_rng(44)
     calls = []
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
@@ -247,6 +249,9 @@ def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
             return _fn(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    checks = []
+    check_hermitian = states_mod.check_hermitian  # one call per check_states pass
+    monkeypatch.setattr(states_mod, "check_hermitian", lambda a: checks.append(a.shape) or check_hermitian(a))
     for n in (2, 5, 8):
         paths = [str(tmp_path / f"{n}{side}.json") for side in "ab"]
         for path in paths:
@@ -254,20 +259,25 @@ def test_compare_solves_each_pair_once(tmp_path, monkeypatch, capsys):
             lam = rng.dirichlet(np.ones(n))
             write_state_file((u * lam) @ u.conj().T, path)
         calls.clear()
+        checks.clear()
         assert main(["compare", *paths]) == 0
         assert "wootters" not in json.loads(capsys.readouterr().out)
         want = [("eigvalsh", (n, n))] * 2 + [("eigvalsh", (3, n, n)), ("eigh", (4, n, n))]
         assert sorted(calls) == sorted(want)
+        want_checks = [(1, n, n)] * 2 + [(2, n, n)] * 2
+        assert sorted(checks) == want_checks
 
         psi, phi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
         for path, v in zip(paths, (psi, phi)):
             v = v / np.linalg.norm(v)
             write_state_file(np.outer(v, v.conj()), path)
         calls.clear()
+        checks.clear()
         assert main(["compare", *paths]) == 0
         table = json.loads(capsys.readouterr().out)
         assert table["wootters"] == pytest.approx(np.arccos(table["fidelity"]), abs=1e-6)
         assert sorted(calls) == sorted(want)
+        assert sorted(checks) == want_checks
 
 
 def test_purescan_exit_and_payload(capsys):

@@ -211,13 +211,13 @@ def test_unitary_invariance(dim):
         assert abs(qjsd(wa, wb) - qjsd(a, b)) < 1e-10
         assert abs(qjsd_sqrt(wa, wb) - qjsd_sqrt(a, b)) < 1e-10
         assert abs(fidelity(solve_pair(wa, wb)) - fidelity(solve_pair(a, b))) < 1e-10
-        assert abs(hilbert_schmidt_distance(wa, wb) - hilbert_schmidt_distance(a, b)) < 1e-10
+        assert abs(hilbert_schmidt_distance(solve_pair(wa, wb)) - hilbert_schmidt_distance(solve_pair(a, b))) < 1e-10
 
 
 def test_binary_distances_symmetric(rng):
     for _ in range(50):
         a, b = rand_density(rng, 3), rand_density(rng, 3)
-        for f in (qjsd, qjsd_sqrt, hilbert_schmidt_distance):
+        for f in (qjsd, qjsd_sqrt, lambda x, y: hilbert_schmidt_distance(solve_pair(x, y))):
             assert abs(f(a, b) - f(b, a)) < 1e-12
         assert abs(fidelity(solve_pair(a, b)) - fidelity(solve_pair(b, a))) < 1e-10
 
@@ -404,17 +404,17 @@ def test_wootters_unitary_invariant(rng):
 
 
 def test_hs_distance_values():
-    assert hilbert_schmidt_distance(KET0, KET0) == 0.0
-    assert hilbert_schmidt_distance(KET0, KET1) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    assert hilbert_schmidt_distance(solve_pair(KET0, KET0)) == 0.0
+    assert hilbert_schmidt_distance(solve_pair(KET0, KET1)) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
 
 def test_hs_distance_triangle(rng):
     for _ in range(10_000):
         a, b, c = (rand_density(rng, 2) for _ in range(3))
         defect = (
-            hilbert_schmidt_distance(a, b)
-            + hilbert_schmidt_distance(b, c)
-            - hilbert_schmidt_distance(a, c)
+            hilbert_schmidt_distance(solve_pair(a, b))
+            + hilbert_schmidt_distance(solve_pair(b, c))
+            - hilbert_schmidt_distance(solve_pair(a, c))
         )
         assert defect >= -1e-12
 
@@ -614,6 +614,7 @@ _PAIR_FUNCTIONS = {
     "fidelity": lambda a, b: fidelity(solve_pair(a, b)),
     "qjsd_spectral": lambda a, b: qjsd_spectral(solve_pair(a, b)),
     "djs1_lower_bound": lambda a, b: djs1_lower_bound(solve_pair(a, b), restarts=2),
+    "hilbert_schmidt_distance": lambda a, b: hilbert_schmidt_distance(solve_pair(a, b)),
     "measured_jsd": lambda a, b: measured_jsd(a, b, _BASIS_POVM),
 }
 
@@ -633,11 +634,10 @@ def test_pair_functions_reject_what_is_not_a_state(name):
 
 
 _DH_SCHEDULE = AnnealSchedule(steps_per_temperature=2, t_initial=0.5, t_final=0.4, cooling_ratio=0.7)
-# every function of two states: those above, and two that read no PSD verdict
-# from a spectrum of the pair itself
+# every function of two states: those above, and d_h_by_optimization, the
+# one that reads no PSD verdict from a spectrum of the pair itself
 _TWO_STATE_FUNCTIONS = {
     **_PAIR_FUNCTIONS,
-    "hilbert_schmidt_distance": hilbert_schmidt_distance,
     "d_h_by_optimization": lambda a, b: d_h_by_optimization(a, b, restarts=1, schedule=_DH_SCHEDULE),
 }
 
@@ -664,8 +664,8 @@ def test_qjsd_names_the_negative_eigenvalue():
 
 def test_hilbert_schmidt_distance_checks_the_trace():
     with pytest.raises(ValueError, match="trace is 2.0, expected 1 within 1e-10"):
-        hilbert_schmidt_distance(2.0 * MIXED, MIXED)
-    assert hilbert_schmidt_distance(KET0, KET1) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        hilbert_schmidt_distance(solve_pair(2.0 * MIXED, MIXED))
+    assert hilbert_schmidt_distance(solve_pair(KET0, KET1)) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_each_state_is_solved_once(rng, monkeypatch):
@@ -699,7 +699,7 @@ def test_each_input_is_checked_for_finiteness_once(rng, monkeypatch):
         (2, lambda: qjsd_sqrt(rho, sigma)),
         (2, lambda: relative_entropy(rho, sigma)),
         (2, lambda: qjsd_via_relative_entropy(rho, sigma)),
-        (2, lambda: hilbert_schmidt_distance(rho, sigma)),
+        (2, lambda: hilbert_schmidt_distance(solve_pair(rho, sigma))),
         (1, lambda: von_neumann_entropy(rho)),
         (2, lambda: purification(rho, np.eye(3))),  # the state and the unitary
     ]
@@ -741,7 +741,7 @@ def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):
     # a solved pair holds its own copy of the inputs: overwriting an input
     # leaves the pair's measures bit for bit as they were, and a fresh
     # solve_pair follows the new input
-    for fn in (fidelity, qjsd_spectral, lambda p: djs1_lower_bound(p, restarts=2)):
+    for fn in (hilbert_schmidt_distance, fidelity, qjsd_spectral, lambda p: djs1_lower_bound(p, restarts=2)):
         for dim in (2, 5):
             a, b = rand_density(rng, dim), rand_density(rng, dim)
             pair = solve_pair(a, b)
@@ -754,8 +754,8 @@ def test_shared_eigensystem_follows_inputs_overwritten_in_place(rng):
 
 
 def test_pair_measures_solve_nothing(rng, monkeypatch):
-    # the three measures read the pair's eigensystem and solve no spectrum of their own
-    measures = (fidelity, qjsd_spectral, lambda p: djs1_lower_bound(p, restarts=3))
+    # the four measures read the pair and solve no spectrum of their own
+    measures = (hilbert_schmidt_distance, fidelity, qjsd_spectral, lambda p: djs1_lower_bound(p, restarts=3))
     pairs = [solve_pair(rand_density(rng, n), rand_density(rng, n)) for n in (2, 5, 8)]
     before = [[fn(p) for fn in measures] for p in pairs]
     for name in ("eigh", "eigvalsh"):
@@ -878,11 +878,11 @@ def test_unitary_from_params_bit_identical_to_reference(rng, n):
         assert np.array_equal(got, _unitary_oracle(theta, n))
 
 
-# the 30 names of README's "Python API"; the cross-checks live in tests/reference.py
+# the 29 names of README's "Python API"; the cross-checks live in tests/reference.py
 _EXPORTS = """run_anneal minimize objective_single objective_symmetrized AnnealSchedule AnnealResult run_audit
 regenerate_triplet triangle_defect AuditReport Histogram TriangleSample qjsd qjsd_sqrt hilbert_schmidt_distance
 fidelity d_h_closed_form d_h_by_optimization djs1_lower_bound wootters_distance phi_pure pure_triangle_scan
-qjsd_spectral solve_pair sample_states derive_seed read_state_file write_state_file linear_entropy purification""".split()
+qjsd_spectral solve_pair sample_states derive_seed read_state_file write_state_file purification""".split()
 _MOVED = """von_neumann_entropy relative_entropy _relative_entropy qjsd_via_relative_entropy measured_jsd check_prob_vector
 _prob_stack classical_jsd classical_jsd_sqrt_metric_check schoenberg_check SUPPORT_CUTOFF _SUPPORT_WEIGHT_TOL check_povm
 projective_povm SupportViolation""".split()
@@ -890,7 +890,7 @@ projective_povm SupportViolation""".split()
 
 def test_the_package_exports_the_instrument_and_no_reference_route():
     names = {k for k, v in vars(package).items() if not k.startswith("_") and not isinstance(v, type(package))}
-    assert names == set(_EXPORTS) and len(_EXPORTS) == 30
+    assert names == set(_EXPORTS) and len(_EXPORTS) == 29
     for name in _MOVED:
         assert not any(hasattr(m, name) for m in (package, div_mod, package.states, package.errors)), name
         assert hasattr(reference, name), name

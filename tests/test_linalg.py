@@ -79,3 +79,34 @@ def test_matrix_sqrt_rejects_negative():
 def test_matrix_sqrt_clamps_roundoff():
     s = sqrt_from_eigh(*np.linalg.eigh(np.diag([1.0, -5e-11])))
     assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_matrix_sqrt_of_a_stack_matches_each_matrix_alone(dim):
+    # full-rank states and projectors in one stack: each matrix keeps its own
+    # round-off threshold, so a projector's round-off eigenvalues are zeroed
+    # beside a full-rank state, and each root has the bits it has alone
+    rng = np.random.default_rng(8000 + dim)
+    eps = np.finfo(np.float64).eps
+    mats = []
+    for k in range(12):
+        if k % 2:
+            psi = rand_pure(rng, dim)
+            mats.append(np.outer(psi, psi.conj()))
+        else:
+            m = rand_hermitian(rng, dim)
+            m = m @ m.conj().T + 1e-3 * np.eye(dim)
+            mats.append(m / np.trace(m).real)
+    if dim > 2:
+        # a state whose least eigenvalue lies above its own threshold but below
+        # a projector's, so a threshold taken over the whole stack zeroes it
+        top = 1.0 / (dim - 1)
+        mats[0] = np.diag([1.5 * dim * eps * top] + [top] * (dim - 1)).astype(complex)
+    w, v = np.linalg.eigh(np.stack(mats))
+    cut = dim * eps * w.max(axis=-1, keepdims=True)
+    assert np.any((w > 0.0) & (w <= cut))  # the threshold zeroes some round-off eigenvalue
+    stacked = sqrt_from_eigh(w, v)
+    assert stacked.shape == (12, dim, dim)
+    for i in range(12):
+        assert np.array_equal(stacked[i], sqrt_from_eigh(w[i], v[i]))
+    assert np.array_equal(sqrt_from_eigh(w[1:3], v[1:3]), stacked[1:3])
